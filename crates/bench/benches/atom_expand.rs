@@ -5,17 +5,16 @@
 //! `loaded?` snapshot, three ways:
 //!
 //! * `atom_expand_generic` — the full IR interpreter (`expand_thunk`),
-//!   what `--atom-cache off` pays for every requested atom.
+//!   what the reference checker pays for every requested atom.
 //! * `atom_expand_compiled` — the `specstrom::atomc` lowering: a
 //!   closure-free specialized evaluator when the atom's shape is on the
-//!   fast path, the generic walk otherwise. This is the memo-miss cost
-//!   under `--atom-cache value`.
+//!   fast path, the generic walk otherwise. This is the memo-miss cost.
 //! * `atom_expand_memo_hit` — the warm path: hash the atom's
 //!   footprint-restricted projection of the state and look the expansion
 //!   up in the value-keyed memo. No IR runs at all; this is what repeat
 //!   states cost.
 //!
-//! The three are pinned semantically by `differential_atom_memo`; this
+//! The three are pinned semantically by the `differential` suite; this
 //! benchmark quantifies the gaps the DESIGN.md *Atom expansion
 //! memoization* section cites.
 

@@ -1,22 +1,23 @@
 //! The formula-progression micro-benchmark: the table-driven evaluation
-//! automata vs the plain stepper.
+//! automaton vs the plain stepper.
 //!
 //! One "step" is one observed state pushed through the temporal skeleton.
 //! The stepper re-derives the residual every time (unroll → simplify →
-//! classify → step); the eager automaton did all of that at compile time
-//! and steps by indexing a per-state row with a valuation bitset; the
-//! memoized [`TransitionTable`] — what the checker actually uses — pays
-//! the stepper price on a miss and a hash lookup on a hit. The three are
-//! pinned semantically by `automaton_equivalence.rs` and the
-//! `differential_automaton` suite; this benchmark quantifies the gap.
-//! The `ltl_step_check_*` pair measures the same difference end to end
-//! through a real checking session.
+//! classify → step); the memoized [`TransitionTable`] — what the checker
+//! actually uses — pays the stepper price on a miss and a hash lookup on
+//! a hit. The two are pinned semantically by `automaton_equivalence.rs`
+//! and the `differential` suite; this benchmark quantifies the gap. The
+//! `ltl_step_check_*` pair measures the difference end to end through a
+//! real checking session: the production checker against the reference
+//! checker (`quickstrom_checker::oracle`), which steps the plain stepper
+//! and expands every atom afresh.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quickstrom::prelude::*;
-use quickstrom::quickltl::automaton::{canonicalize, EagerAutomaton, EagerCaps};
+use quickstrom::quickltl::automaton::canonicalize;
 use quickstrom::quickltl::{AtomId, Evaluator, Observation, TableStep, TransitionTable};
 use quickstrom::quickstrom_apps::Counter;
+use quickstrom::quickstrom_checker::{oracle, CheckError, MakeExecutor};
 
 /// The benchmark formula: a safety/response skeleton in the shape the
 /// bundled specs use — `□₅₀ (a → ◇₁₀ b) ∧ □₅₀ ¬c` over three atoms.
@@ -53,24 +54,6 @@ fn bench_ltl_step(c: &mut Criterion) {
                     .expect("infallible");
             }
             std::hint::black_box(ev.forced_outcome())
-        });
-    });
-
-    let caps = EagerCaps {
-        max_states: 65_536,
-        max_live_atoms: 8,
-    };
-    let auto = EagerAutomaton::compile(formula.clone(), &caps)
-        .expect("the skeleton's residual space is finite");
-    c.bench_function("ltl_step_eager_automaton", |b| {
-        b.iter(|| {
-            let mut runner = auto.runner();
-            for s in &states {
-                runner
-                    .observe(&mut |p| Ok::<_, std::convert::Infallible>(eval(*p, *s)))
-                    .expect("infallible");
-            }
-            std::hint::black_box(runner.forced_outcome())
         });
     });
 
@@ -116,25 +99,28 @@ fn bench_ltl_step(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(drive(&mut table, &bindings0)));
     });
 
-    // End to end: a full checking session on the counter app under each
-    // evaluation mode (everything else — seeds, actions, masking —
-    // identical; so is the report, by the differential suite).
+    // End to end: a full checking session on the counter app through the
+    // production checker and through the reference checker (everything
+    // else — seeds, actions, the sequential runtime — identical; so is the
+    // report, by the differential suite).
+    type Check = fn(&CompiledSpec, &CheckOptions, MakeExecutor<'_>) -> Result<Report, CheckError>;
     let spec = std::sync::Arc::new(load(quickstrom::specs::COUNTER).expect("spec compiles"));
     let options = CheckOptions::default()
         .with_tests(3)
         .with_max_actions(30)
         .with_default_demand(25)
         .with_seed(11)
-        .with_shrink(false);
-    for (name, mode) in [
-        ("ltl_step_check_automaton", EvalMode::Automaton),
-        ("ltl_step_check_stepper", EvalMode::Stepper),
+        .with_shrink(false)
+        .with_pipeline(PipelineMode::Off);
+    for (name, check) in [
+        ("ltl_step_check_automaton", check_spec as Check),
+        ("ltl_step_check_stepper", oracle::check_spec as Check),
     ] {
         let spec = std::sync::Arc::clone(&spec);
-        let options = options.clone().with_eval_mode(mode);
+        let options = options.clone();
         c.bench_function(name, move |b| {
             b.iter(|| {
-                let report = check_spec(&spec, &options, &|| {
+                let report = check(&spec, &options, &|| {
                     Box::new(WebExecutor::new(Counter::new))
                 })
                 .expect("no protocol errors");

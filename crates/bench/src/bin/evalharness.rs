@@ -2,7 +2,7 @@
 //! paper's evaluation (§4), plus the ablations from DESIGN.md.
 //!
 //! ```text
-//! cargo run --release -p quickstrom-bench --bin evalharness -- table1 [--jobs 4] [--json BENCH_table1.json] [--full-snapshots] [--strategy least-tried] [--no-mask-atoms] [--eval-mode automaton|stepper] [--atom-cache value|footprint|off] [--atom-memo-capacity N] [--pipeline on|off] [--pipeline-depth N] [--multiplex M] [--step-memo on|off] [--progress] [--metrics] [--metrics-out metrics.prom]
+//! cargo run --release -p quickstrom-bench --bin evalharness -- table1 [--tests 100] [--jobs 4] [--json BENCH_table1.json] [--full-snapshots] [--strategy least-tried] [--atom-memo-capacity N] [--pipeline on|off] [--pipeline-depth N] [--multiplex M] [--progress] [--metrics] [--metrics-out metrics.prom]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- table2 [--jobs 4]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- obs-smoke [--trace-out trace.json] [--trace-timeline timeline.txt] [--metrics-out metrics.prom] [--explain-out explain.json]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- figure13 [--sessions 10] [--runs 3] [--csv fig13.csv]
@@ -33,34 +33,20 @@
 //! reports distinct-fingerprint coverage per strategy — under both the
 //! spec-agnostic shape fingerprint and the spec-aware projection
 //! fingerprint derived from the compiled spec's static analysis.
-//! `--eval-mode automaton|stepper` selects how formulae are progressed
-//! (the table-driven evaluation automaton — the default — or the plain
-//! stepper kept as its differential oracle; see DESIGN.md, *Evaluation
-//! automata*). Verdicts and state counts are identical in both modes;
-//! only the timing and `ltl_*` counter columns change.
-//! `--atom-cache value|footprint|off` selects how atom expansions are
-//! reused across states (the value-keyed expansion memo — the default —
-//! the older evict-on-delta footprint cache, or no reuse; see DESIGN.md,
-//! *Atom expansion memoization*). Verdicts and state counts are
-//! identical in every mode (pinned by `differential_atom_memo`); the
-//! timing and `atoms_*`/`atom_memo_*` columns change.
-//! `--atom-memo-capacity N` bounds the memo's entry count (FIFO
+//! There is one evaluation path — the shared evaluation automaton stepped
+//! through the value-keyed atom memo and the step memo (see DESIGN.md,
+//! *Evaluation automata*) — so no flag selects an engine.
+//! `--atom-memo-capacity N` bounds the atom memo's entry count (FIFO
 //! eviction; the default 65,536 never evicts on the bundled sweep).
 //! `--pipeline on|off` selects the session runtime (the two-stage
-//! pipelined engine — the default — or the sequential engine kept as its
-//! differential oracle; see DESIGN.md, *Pipelined runtime*). Verdicts,
-//! state counts and atom counters are identical in both modes (pinned by
-//! `differential_pipeline`); the timing columns change — and under
-//! pipelining `executor_s`/`eval_s` overlap, so they no longer sum to
-//! `wall_s`. `--pipeline-depth N` bounds the speculation window (states
-//! the executor may run ahead of the evaluator); `--multiplex M` lets
-//! every worker interleave M in-flight sessions to hide executor latency.
-//! `--step-memo on|off` switches the state-value step memo, which answers
-//! whole automaton transitions from a per-property cache keyed by
-//! (automaton state, bindings signature, state-value signature). Replays
-//! are exact — verdicts, state counts *and* atom counters are identical
-//! in both modes (pinned by `differential_pipeline`); only the timing
-//! columns and `step_memo_hits` change.
+//! pipelined engine — the default — or the sequential engine; see
+//! DESIGN.md, *Pipelined runtime*). Verdicts, state counts and atom
+//! counters are identical in both modes (pinned by the `differential`
+//! suite); the timing columns change — and under pipelining
+//! `executor_s`/`eval_s` overlap, so they no longer sum to `wall_s`.
+//! `--pipeline-depth N` bounds the speculation window (states the
+//! executor may run ahead of the evaluator); `--multiplex M` lets every
+//! worker interleave M in-flight sessions to hide executor latency.
 //! `--progress` keeps a single live line (done/running/ETA) on the
 //! terminal during the sweep; it is silent when stdout is not a TTY, so
 //! redirected logs stay clean. `--metrics` collects the observability
@@ -80,121 +66,158 @@
 //! unsatisfiable properties, unused bindings/actions/selectors) with
 //! source positions; `--deny-warnings` exits non-zero on any finding
 //! (the CI smoke), `--json PATH` writes the machine-readable report.
+//!
+//! An unknown command or flag, a flag missing its value, or a number that
+//! does not parse exits with code 2 before any work starts.
 
 use quickstrom::prelude::*;
 use quickstrom::quickstrom_apps::registry::{Maturity, REGISTRY};
 use quickstrom::quickstrom_apps::MenuApp;
 use quickstrom::quickstrom_obs::metrics::{SEND_LATENCY, STEP_LATENCY};
 use quickstrom_bench::{
-    check_entry_observed, fault_description, figure13_point, sweep_entries_mode,
+    check_entry_observed, fault_description, figure13_point, quantile_us, sweep_entries_mode,
     sweep_entries_observed, sweep_to_json, ImplResult, SnapshotMode,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{IsTerminal, Write as _};
 
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--atom-memo-capacity",
+    "--csv",
+    "--explain-out",
+    "--jobs",
+    "--json",
+    "--metrics-out",
+    "--multiplex",
+    "--pipeline",
+    "--pipeline-depth",
+    "--runs",
+    "--sessions",
+    "--strategy",
+    "--tests",
+    "--trace-out",
+    "--trace-timeline",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--deny-warnings",
+    "--full-snapshots",
+    "--metrics",
+    "--progress",
+];
+
+/// Reports a command-line mistake and exits with code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("evalharness: {message}");
+    std::process::exit(2);
+}
+
+/// The flags after the command: values by flag name, and the switches
+/// given. Parsing rejects anything it does not know.
+#[derive(Default)]
+struct Flags {
+    values: BTreeMap<&'static str, String>,
+    switches: Vec<&'static str>,
+}
+
+impl Flags {
+    fn parse(tokens: &[String]) -> Flags {
+        let mut flags = Flags::default();
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            if let Some(&name) = VALUE_FLAGS.iter().find(|f| **f == token) {
+                match tokens.next() {
+                    // The next token being another flag means the value is
+                    // missing — `--json --jobs 4` must not write a file
+                    // named `--jobs` after a multi-minute sweep.
+                    Some(value) if !value.starts_with("--") => {
+                        flags.values.insert(name, value.clone());
+                    }
+                    _ => usage_error(&format!("flag {name} requires a value")),
+                }
+            } else if let Some(&name) = SWITCHES.iter().find(|f| **f == token) {
+                flags.switches.push(name);
+            } else {
+                usage_error(&format!("unknown argument {token:?}"));
+            }
+        }
+        flags
+    }
+
+    fn value(&self, name: &str) -> Option<String> {
+        self.values.get(name).cloned()
+    }
+
+    fn number(&self, name: &str) -> Option<usize> {
+        self.values.get(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                usage_error(&format!(
+                    "flag {name} expects a non-negative integer, got {v:?}"
+                ))
+            })
+        })
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
-    let flag = |name: &str| -> Option<String> {
-        let position = args.iter().position(|a| a == name)?;
-        match args.get(position + 1) {
-            // The next token being another flag means the value is
-            // missing — `--json --jobs 4` must not write a file named
-            // `--jobs` after a multi-minute sweep.
-            Some(value) if !value.starts_with("--") => Some(value.clone()),
-            _ => {
-                eprintln!("flag {name} requires a value; ignoring it");
-                None
-            }
-        }
-    };
-    let sessions: usize = flag("--sessions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let runs: usize = flag("--runs").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let tests: usize = flag("--tests").and_then(|v| v.parse().ok()).unwrap_or(100);
-    let jobs: usize = flag("--jobs").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let csv = flag("--csv");
-    let json = flag("--json");
-    let mode = if args.iter().any(|a| a == "--full-snapshots") {
+    let flags = Flags::parse(args.get(1..).unwrap_or_default());
+    let sessions = flags.number("--sessions").unwrap_or(10);
+    let runs = flags.number("--runs").unwrap_or(3);
+    let tests = flags.number("--tests").unwrap_or(100);
+    let jobs = flags.number("--jobs").unwrap_or(1);
+    let csv = flags.value("--csv");
+    let json = flags.value("--json");
+    let mode = if flags.switch("--full-snapshots") {
         SnapshotMode::Full
     } else {
         SnapshotMode::Delta
     };
-    let mask_atoms = !args.iter().any(|a| a == "--no-mask-atoms");
-    let strategy = match flag("--strategy") {
-        Some(name) => match SelectionStrategy::parse(&name) {
-            Some(s) => s,
-            None => {
-                eprintln!(
-                    "unknown strategy {name:?} (expected uniform, least-tried \
-                     or novelty)"
-                );
-                std::process::exit(2);
-            }
-        },
+    let strategy = match flags.value("--strategy") {
+        Some(name) => SelectionStrategy::parse(&name).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown strategy {name:?} (expected uniform, least-tried or novelty)"
+            ))
+        }),
         None => SelectionStrategy::default(),
     };
-    let eval_mode = match flag("--eval-mode") {
-        Some(name) => match EvalMode::parse(&name) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown eval mode {name:?} (expected automaton or stepper)");
-                std::process::exit(2);
-            }
-        },
-        None => EvalMode::default(),
-    };
-    let atom_cache = match flag("--atom-cache") {
-        Some(name) => match AtomCacheMode::parse(&name) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown atom cache mode {name:?} (expected value, footprint or off)");
-                std::process::exit(2);
-            }
-        },
-        None => AtomCacheMode::default(),
-    };
-    let atom_memo_capacity: Option<usize> =
-        flag("--atom-memo-capacity").and_then(|v| v.parse().ok());
-    let pipeline = match flag("--pipeline") {
-        Some(name) => match PipelineMode::parse(&name) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown pipeline mode {name:?} (expected on or off)");
-                std::process::exit(2);
-            }
-        },
+    let pipeline = match flags.value("--pipeline") {
+        Some(name) => PipelineMode::parse(&name).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown pipeline mode {name:?} (expected on or off)"
+            ))
+        }),
         None => PipelineMode::default(),
     };
-    let pipeline_depth: Option<usize> = flag("--pipeline-depth").and_then(|v| v.parse().ok());
-    let multiplex: Option<usize> = flag("--multiplex").and_then(|v| v.parse().ok());
-    let progress = args.iter().any(|a| a == "--progress");
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let metrics_out = flag("--metrics-out");
-    let trace_out = flag("--trace-out");
-    let trace_timeline = flag("--trace-timeline");
-    let explain_out = flag("--explain-out");
-    let step_memo = match flag("--step-memo").as_deref() {
-        Some("on") => true,
-        Some("off") => false,
-        Some(name) => {
-            eprintln!("unknown step memo mode {name:?} (expected on or off)");
-            std::process::exit(2);
+    let atom_memo_capacity = flags.number("--atom-memo-capacity");
+    let pipeline_depth = flags.number("--pipeline-depth");
+    let multiplex = flags.number("--multiplex");
+    let progress = flags.switch("--progress");
+    let metrics = flags.switch("--metrics");
+    let metrics_out = flags.value("--metrics-out");
+    let trace_out = flags.value("--trace-out");
+    let trace_timeline = flags.value("--trace-timeline");
+    let explain_out = flags.value("--explain-out");
+    let engine_options = move |options: CheckOptions| {
+        let mut options = options.with_pipeline(pipeline);
+        if let Some(capacity) = atom_memo_capacity {
+            options = options.with_atom_memo_capacity(capacity);
         }
-        None => CheckOptions::default().step_memo,
-    };
-    let pipeline_options = move |options: CheckOptions| {
-        let options = options.with_pipeline(pipeline).with_step_memo(step_memo);
-        let options = match pipeline_depth {
-            Some(depth) => options.with_pipeline_depth(depth),
-            None => options,
-        };
-        match multiplex {
-            Some(m) => options.with_multiplex(m),
-            None => options,
+        if let Some(depth) = pipeline_depth {
+            options = options.with_pipeline_depth(depth);
         }
+        if let Some(m) = multiplex {
+            options = options.with_multiplex(m);
+        }
+        options
     };
 
     match command {
@@ -206,11 +229,7 @@ fn main() {
                 json.as_deref(),
                 mode,
                 strategy,
-                mask_atoms,
-                eval_mode,
-                atom_cache,
-                atom_memo_capacity,
-                &pipeline_options,
+                &engine_options,
                 progress,
                 metrics,
                 metrics_out.as_deref(),
@@ -224,11 +243,7 @@ fn main() {
                 json.as_deref(),
                 mode,
                 strategy,
-                mask_atoms,
-                eval_mode,
-                atom_cache,
-                atom_memo_capacity,
-                &pipeline_options,
+                &engine_options,
                 progress,
                 metrics,
                 metrics_out.as_deref(),
@@ -243,7 +258,7 @@ fn main() {
         "figure13" => figure13(sessions, runs, csv.as_deref()),
         "delta-compare" => delta_compare(tests, jobs, json.as_deref()),
         "coverage-compare" => coverage_compare(tests, jobs, json.as_deref()),
-        "lint" => lint_specs(json.as_deref(), args.iter().any(|a| a == "--deny-warnings")),
+        "lint" => lint_specs(json.as_deref(), flags.switch("--deny-warnings")),
         "ablation-rvltl" => ablation_rvltl(),
         "ablation-simplify" => ablation_simplify(),
         "ablation-strategy" => ablation_strategy(),
@@ -255,11 +270,7 @@ fn main() {
                 json.as_deref(),
                 mode,
                 strategy,
-                mask_atoms,
-                eval_mode,
-                atom_cache,
-                atom_memo_capacity,
-                &pipeline_options,
+                &engine_options,
                 progress,
                 metrics,
                 metrics_out.as_deref(),
@@ -286,8 +297,8 @@ fn main() {
 }
 
 /// Runs the registry sweep and prints Table 1 (and optionally Table 2).
-/// `pipeline_options` applies the `--pipeline` / `--pipeline-depth` /
-/// `--multiplex` flags on top of the base options.
+/// `engine_options` applies the `--atom-memo-capacity` / `--pipeline` /
+/// `--pipeline-depth` / `--multiplex` flags on top of the base options.
 #[allow(clippy::fn_params_excessive_bools, clippy::too_many_arguments)]
 fn table1_and_2(
     tests: usize,
@@ -296,18 +307,14 @@ fn table1_and_2(
     json: Option<&str>,
     mode: SnapshotMode,
     strategy: SelectionStrategy,
-    mask_atoms: bool,
-    eval_mode: EvalMode,
-    atom_cache: AtomCacheMode,
-    atom_memo_capacity: Option<usize>,
-    pipeline_options: &dyn Fn(CheckOptions) -> CheckOptions,
+    engine_options: &dyn Fn(CheckOptions) -> CheckOptions,
     progress: bool,
     metrics: bool,
     metrics_out: Option<&str>,
 ) {
     println!("═══ Table 1: Summary of Results (TodoMVC registry sweep) ═══");
     println!(
-        "    ({} implementations, {} runs each, subscript 100 — the paper's default, {} job(s), {} snapshots, {} strategy, atom masks {}, {} evaluation, {} atom cache)",
+        "    ({} implementations, {} runs each, subscript 100 — the paper's default, {} job(s), {} snapshots, {} strategy)",
         REGISTRY.len(),
         tests,
         jobs.max(1),
@@ -316,32 +323,20 @@ fn table1_and_2(
             SnapshotMode::Full => "full",
         },
         strategy,
-        if mask_atoms { "on" } else { "off" },
-        eval_mode,
-        atom_cache
     );
-    {
-        let probe = pipeline_options(CheckOptions::default());
-        println!(
-            "    (pipeline {}, depth {}, multiplex {})",
-            probe.pipeline, probe.pipeline_depth, probe.multiplex
-        );
-    }
-    let options = CheckOptions::default()
-        .with_tests(tests)
-        .with_max_actions(120)
-        .with_default_demand(100)
-        .with_seed(20220322) // the paper's arXiv date
-        .with_shrink(false)
-        .with_strategy(strategy)
-        .with_mask_atoms(mask_atoms)
-        .with_eval_mode(eval_mode)
-        .with_atom_cache(atom_cache);
-    let options = match atom_memo_capacity {
-        Some(capacity) => options.with_atom_memo_capacity(capacity),
-        None => options,
-    };
-    let options = pipeline_options(options);
+    let options = engine_options(
+        CheckOptions::default()
+            .with_tests(tests)
+            .with_max_actions(120)
+            .with_default_demand(100)
+            .with_seed(20220322) // the paper's arXiv date
+            .with_shrink(false)
+            .with_strategy(strategy),
+    );
+    println!(
+        "    (pipeline {}, depth {}, multiplex {}, atom memo capacity {})",
+        options.pipeline, options.pipeline_depth, options.multiplex, options.atom_memo_capacity
+    );
     let print_line = |result: &ImplResult| {
         println!(
             "  {:>22}  {}  ({:5.2}s, {} states){}",
@@ -485,49 +480,42 @@ fn table1_and_2(
         "atom evaluation: {atoms_reevaluated} of {atoms_total} requested expansions \
          re-evaluated ({reeval_pct:.1}%; the rest served from the expansion cache)"
     );
-    if options.effective_atom_cache() == AtomCacheMode::Value {
-        let memo_hits: u64 = results.iter().map(|r| r.atom_memo_hits).sum();
-        let memo_misses: u64 = results.iter().map(|r| r.atom_memo_misses).sum();
-        let memo_evictions: u64 = results.iter().map(|r| r.atom_memo_evictions).sum();
-        #[allow(clippy::cast_precision_loss)]
-        let hit_pct = 100.0 * memo_hits as f64 / (memo_hits + memo_misses).max(1) as f64;
-        println!(
-            "expansion memo: {memo_hits} hits, {memo_misses} misses \
-             ({hit_pct:.1}% hit rate, {memo_evictions} evictions; value-keyed, \
-             shared per property)"
-        );
-    }
-    if eval_mode == EvalMode::Automaton {
-        let ltl_states = results.iter().map(|r| r.ltl_states).max().unwrap_or(0);
-        let ltl_table_hits: u64 = results.iter().map(|r| r.ltl_table_hits).sum();
-        let step_memo_hits: u64 = results.iter().map(|r| r.step_memo_hits).sum();
-        println!(
-            "evaluation automaton: {ltl_states} residual state(s) interned, \
-             {ltl_table_hits} progression steps answered by table lookup, \
-             {step_memo_hits} answered wholesale by the step memo"
-        );
-    }
+    let memo_hits: u64 = results.iter().map(|r| r.atom_memo_hits).sum();
+    let memo_misses: u64 = results.iter().map(|r| r.atom_memo_misses).sum();
+    let memo_evictions: u64 = results.iter().map(|r| r.atom_memo_evictions).sum();
+    #[allow(clippy::cast_precision_loss)]
+    let hit_pct = 100.0 * memo_hits as f64 / (memo_hits + memo_misses).max(1) as f64;
+    println!(
+        "expansion memo: {memo_hits} hits, {memo_misses} misses \
+         ({hit_pct:.1}% hit rate, {memo_evictions} evictions; value-keyed, \
+         shared per property)"
+    );
+    let ltl_states = results.iter().map(|r| r.ltl_states).max().unwrap_or(0);
+    let ltl_table_hits: u64 = results.iter().map(|r| r.ltl_table_hits).sum();
+    let step_memo_hits: u64 = results.iter().map(|r| r.step_memo_hits).sum();
+    println!(
+        "evaluation automaton: {ltl_states} residual state(s) interned, \
+         {ltl_table_hits} progression steps answered by table lookup, \
+         {step_memo_hits} answered wholesale by the step memo"
+    );
     if obs.metrics {
         let mut merged = MetricsRegistry::new();
         for r in &results {
             merged.merge(&r.metrics);
         }
-        let quantile_us = |histogram: &str, q: f64| -> f64 {
-            merged
-                .histograms
-                .get(histogram)
-                .and_then(|h| h.quantile(q))
-                .map_or(0.0, |v| v * 1e6)
+        let us = |histogram: &str, q: f64| {
+            quantile_us(&merged, histogram, q)
+                .map_or_else(|| "n/a".to_owned(), |v| format!("{v:.1}"))
         };
         println!(
-            "latency quantiles: step p50/p95/p99 {:.1}/{:.1}/{:.1} µs, \
-             send p50/p95/p99 {:.1}/{:.1}/{:.1} µs",
-            quantile_us(STEP_LATENCY, 0.50),
-            quantile_us(STEP_LATENCY, 0.95),
-            quantile_us(STEP_LATENCY, 0.99),
-            quantile_us(SEND_LATENCY, 0.50),
-            quantile_us(SEND_LATENCY, 0.95),
-            quantile_us(SEND_LATENCY, 0.99),
+            "latency quantiles: step p50/p95/p99 {}/{}/{} µs, \
+             send p50/p95/p99 {}/{}/{} µs",
+            us(STEP_LATENCY, 0.50),
+            us(STEP_LATENCY, 0.95),
+            us(STEP_LATENCY, 0.99),
+            us(SEND_LATENCY, 0.50),
+            us(SEND_LATENCY, 0.95),
+            us(SEND_LATENCY, 0.99),
         );
         if let Some(path) = metrics_out {
             std::fs::write(path, merged.to_prometheus("quickstrom_")).expect("write metrics");

@@ -94,28 +94,24 @@ pub struct ImplResult {
     /// Atom expansions the evaluator requested across all runs.
     pub atoms_total: u64,
     /// Of `atoms_total`: expansions actually re-evaluated (the rest were
-    /// served from the value-keyed expansion memo or the footprint cache
-    /// — see `CheckOptions::atom_cache`).
+    /// served from the value-keyed expansion memo).
     pub atoms_reevaluated: u64,
-    /// Value-mode memo lookups served without re-evaluation (zero outside
-    /// `AtomCacheMode::Value`).
+    /// Memo lookups served without re-evaluation.
     pub atom_memo_hits: u64,
-    /// Value-mode memo lookups that had to expand the atom.
+    /// Memo lookups that had to expand the atom.
     pub atom_memo_misses: u64,
     /// Memo entries evicted by the capacity bound.
     pub atom_memo_evictions: u64,
     /// Residual formulae interned by the property evaluation automata at
-    /// the end of the check (zero in `EvalMode::Stepper` mode). The
-    /// transition table is owned by the compiled spec and shared across
-    /// entries, so this reports the table size *as of* this entry, not a
-    /// per-entry increment.
+    /// the end of the check. The transition table is owned by the
+    /// compiled spec and shared across entries, so this reports the table
+    /// size *as of* this entry, not a per-entry increment.
     pub ltl_states: u64,
     /// Formula-progression steps answered by a transition-table lookup
-    /// instead of unroll+simplify (zero in `EvalMode::Stepper` mode).
+    /// instead of unroll+simplify.
     pub ltl_table_hits: u64,
     /// Of those, steps answered wholesale by the state-value step memo
-    /// (no atom expansion or observation at all; zero under
-    /// `--step-memo off`).
+    /// (no atom expansion or observation at all).
     pub step_memo_hits: u64,
     /// The speculation bound of the pipelined runtime (zero under
     /// `--pipeline off`). Note that under pipelining `executor_s` and
@@ -147,20 +143,33 @@ pub struct ImplResult {
     pub metrics: MetricsRegistry,
 }
 
-impl ImplResult {
-    /// A latency quantile from the entry's observability metrics, in
-    /// microseconds (0 when metrics were off or the histogram is empty).
-    #[must_use]
-    pub fn latency_quantile_us(&self, histogram: &str, q: f64) -> f64 {
-        self.metrics
-            .histograms
-            .get(histogram)
-            .and_then(|h| h.quantile(q))
-            .map_or(0.0, |v| v * 1e6)
-    }
+/// A latency quantile of `histogram` in `metrics`, in microseconds;
+/// `None` when the latency was not measured (metrics off, or an empty
+/// histogram).
+#[must_use]
+pub fn quantile_us(metrics: &MetricsRegistry, histogram: &str, q: f64) -> Option<f64> {
+    metrics
+        .histograms
+        .get(histogram)
+        .and_then(|h| h.quantile(q))
+        .map(|v| v * 1e6)
+}
+
+/// Renders an optional measurement as JSON: `null` when it was not
+/// measured, never a made-up `0.0`.
+fn json_measure(value: Option<f64>) -> String {
+    value.map_or_else(|| "null".to_owned(), |v| format!("{v:.3}"))
 }
 
 impl ImplResult {
+    /// A latency quantile from the entry's observability metrics, in
+    /// microseconds; `None` when metrics were off or the histogram is
+    /// empty.
+    #[must_use]
+    pub fn latency_quantile_us(&self, histogram: &str, q: f64) -> Option<f64> {
+        quantile_us(&self.metrics, histogram, q)
+    }
+
     /// Does the observed verdict agree with Table 1?
     #[must_use]
     pub fn agrees_with_paper(&self) -> bool {
@@ -325,6 +334,15 @@ pub fn sweep_registry_jobs(options: &CheckOptions, jobs: usize) -> Vec<ImplResul
     sweep_entries(&entries, options, jobs)
 }
 
+/// The latency histograms behind the sweep JSON's quantile columns.
+const LATENCY_COLUMNS: [(&str, &str); 2] = [
+    ("step_latency", STEP_LATENCY),
+    ("send_latency", SEND_LATENCY),
+];
+
+/// The quantiles each latency column reports.
+const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
+
 /// Renders sweep results as a JSON document with per-entry, per-phase wall
 /// times — the machine-readable output behind `evalharness table1 --json`,
 /// meant for perf-trajectory tracking (`BENCH_*.json`).
@@ -336,7 +354,7 @@ pub fn sweep_registry_jobs(options: &CheckOptions, jobs: usize) -> Vec<ImplResul
 /// `distinct_edges`, the atom-evaluation totals `atoms_total` /
 /// `atoms_reevaluated` plus the expansion-memo totals
 /// `atom_memo_hits` / `atom_memo_misses` / `atom_memo_evictions` — the
-/// work the value-keyed memo (or the footprint cache) saved — and the
+/// work the value-keyed memo saved — and the
 /// automaton counters `ltl_states` / `ltl_table_hits`: the interned
 /// residual-state count of the shared transition table and the
 /// progression steps it answered by lookup, and the pipeline
@@ -344,11 +362,11 @@ pub fn sweep_registry_jobs(options: &CheckOptions, jobs: usize) -> Vec<ImplResul
 /// `evaluator_stall_s` / `speculative_states_discarded` — which stage of
 /// the pipelined runtime bounded the sweep and how much speculative work
 /// the verdicts discarded; under pipelining `executor_s` and `eval_s`
-/// overlap in wall time and no longer sum to `wall_s`; when the sweep ran
-/// with metrics enabled, also the latency quantile columns
-/// `step_latency_p{50,95,99}_us` / `send_latency_p{50,95,99}_us`,
-/// estimated from the merged fixed-bucket histograms — all zero on a
-/// metrics-off sweep) and an
+/// overlap in wall time and no longer sum to `wall_s`; and the latency
+/// quantile columns `step_latency_p{50,95,99}_us` /
+/// `send_latency_p{50,95,99}_us`, estimated from the merged fixed-bucket
+/// histograms when the sweep ran with metrics enabled and `null` — not
+/// measured — on a metrics-off sweep) and an
 /// `entries` array; every entry carries `name`,
 /// `passed`, `expected_to_fail`, `wall_s`, the phase attribution
 /// `executor_s`/`eval_s`, the atom counters
@@ -356,10 +374,11 @@ pub fn sweep_registry_jobs(options: &CheckOptions, jobs: usize) -> Vec<ImplResul
 /// `atom_memo_hits`/`atom_memo_misses`/`atom_memo_evictions`, the automaton counters
 /// `ltl_states`/`ltl_table_hits`, `states`, `faults`, its snapshot-transport
 /// accounting (`shipped_bytes`, `full_bytes`, `delta_states`,
-/// `changed_selectors`), and its coverage accounting (`distinct_states`,
-/// `distinct_edges`), so a regression can be blamed on a phase — or on
-/// the wire, or on lost exploration breadth — instead of only recorded
-/// as wall time.
+/// `changed_selectors`), its coverage accounting (`distinct_states`,
+/// `distinct_edges`) and its latency quantile columns (`null` when not
+/// measured), so a regression can be blamed on a phase — or on the wire,
+/// or on lost exploration breadth — instead of only recorded as wall
+/// time.
 #[must_use]
 pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> String {
     let mut out = String::from("{\n");
@@ -445,28 +464,18 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
             .map(|r| r.speculative_states_discarded)
             .sum::<u64>()
     );
-    // Latency quantiles from the merged metrics registries (all-zero when
+    // Latency quantiles from the merged metrics registries (`null` when
     // the sweep ran with metrics off — the merged histograms are empty).
     let mut merged = MetricsRegistry::new();
     for r in results {
         merged.merge(&r.metrics);
     }
-    let quantile_us = |histogram: &str, q: f64| -> f64 {
-        merged
-            .histograms
-            .get(histogram)
-            .and_then(|h| h.quantile(q))
-            .map_or(0.0, |v| v * 1e6)
-    };
-    for (column, histogram) in [
-        ("step_latency", STEP_LATENCY),
-        ("send_latency", SEND_LATENCY),
-    ] {
-        for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+    for (column, histogram) in LATENCY_COLUMNS {
+        for (suffix, q) in QUANTILES {
             let _ = writeln!(
                 out,
-                "  \"{column}_{suffix}_us\": {:.3},",
-                quantile_us(histogram, q)
+                "  \"{column}_{suffix}_us\": {},",
+                json_measure(quantile_us(&merged, histogram, q))
             );
         }
     }
@@ -501,11 +510,7 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
              \"states\": {}, \"faults\": [{}], \
              \"shipped_bytes\": {}, \"full_bytes\": {}, \"delta_states\": {}, \
              \"changed_selectors\": {}, \
-             \"distinct_states\": {}, \"distinct_edges\": {}, \
-             \"step_latency_p50_us\": {:.3}, \"step_latency_p95_us\": {:.3}, \
-             \"step_latency_p99_us\": {:.3}, \
-             \"send_latency_p50_us\": {:.3}, \"send_latency_p95_us\": {:.3}, \
-             \"send_latency_p99_us\": {:.3}}}",
+             \"distinct_states\": {}, \"distinct_edges\": {}",
             r.name,
             r.passed,
             r.expected_to_fail,
@@ -532,13 +537,17 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
             r.transport.changed_selectors,
             r.coverage.distinct_states,
             r.coverage.distinct_edges,
-            r.latency_quantile_us(STEP_LATENCY, 0.50),
-            r.latency_quantile_us(STEP_LATENCY, 0.95),
-            r.latency_quantile_us(STEP_LATENCY, 0.99),
-            r.latency_quantile_us(SEND_LATENCY, 0.50),
-            r.latency_quantile_us(SEND_LATENCY, 0.95),
-            r.latency_quantile_us(SEND_LATENCY, 0.99),
         );
+        for (column, histogram) in LATENCY_COLUMNS {
+            for (suffix, q) in QUANTILES {
+                let _ = write!(
+                    out,
+                    ", \"{column}_{suffix}_us\": {}",
+                    json_measure(r.latency_quantile_us(histogram, q))
+                );
+            }
+        }
+        out.push('}');
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
@@ -677,6 +686,50 @@ mod tests {
         assert_eq!(point.subscript, 8);
         assert_eq!(point.faulty_sessions, 20);
         assert!(point.false_negative_pct >= 0.0);
+    }
+
+    /// Latency that was not measured is `null` in the sweep JSON — at the
+    /// sweep level and per entry — never a made-up `0.0`; a metrics-on
+    /// sweep fills every quantile column with a number.
+    #[test]
+    fn unmeasured_latency_is_null_in_sweep_json() {
+        let entry = registry::by_name("vue").unwrap();
+        let options = quick_options().with_tests(2).with_max_actions(10);
+        let sweep = |metrics: bool| {
+            let obs = ObsOptions {
+                tracing: None,
+                metrics,
+            };
+            let results: Vec<ImplResult> =
+                sweep_entries_observed(&[entry], &options, 1, SnapshotMode::Delta, &obs, None)
+                    .into_iter()
+                    .map(|(result, _)| result)
+                    .collect();
+            sweep_to_json(&results, 1, 0.0)
+        };
+        let off = sweep(false);
+        let on = sweep(true);
+        for (column, _) in LATENCY_COLUMNS {
+            for (suffix, _) in QUANTILES {
+                let key = format!("\"{column}_{suffix}_us\": ");
+                let values = |doc: &str| -> Vec<String> {
+                    doc.match_indices(&key)
+                        .map(|(at, _)| {
+                            doc[at + key.len()..]
+                                .chars()
+                                .take_while(|c| !matches!(c, ',' | '}' | '\n'))
+                                .collect()
+                        })
+                        .collect()
+                };
+                assert_eq!(values(&off), ["null", "null"], "{key} in {off}");
+                let measured = values(&on);
+                assert_eq!(measured.len(), 2, "{key} in {on}");
+                for value in measured {
+                    assert!(value.parse::<f64>().is_ok(), "{key}{value} in {on}");
+                }
+            }
+        }
     }
 
     #[test]

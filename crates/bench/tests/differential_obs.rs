@@ -6,7 +6,7 @@
 //! check run with tracing and metrics fully enabled must produce a
 //! [`Report`] bit-identical to the plain entry points — on every
 //! workload, across the pipelined and sequential engines, at every jobs
-//! and multiplex width, in both evaluation modes, with the shrinker on.
+//! and multiplex width, with the shrinker on.
 //!
 //! On top of the report pins, the suite checks the artifacts themselves:
 //! every emitted track must be structurally well-formed (spans properly
@@ -100,10 +100,9 @@ fn wizard_report_is_obs_invariant() {
 }
 
 /// The whole 43-entry registry, crossed over the runtime knobs the
-/// tracing layer instruments: entry `i` runs under combination `i % 16`
-/// of jobs 1/2 × multiplex 1/3 × pipelined/sequential ×
-/// automaton/stepper, plain and observed, and the reports must be
-/// bit-identical for every entry.
+/// tracing layer instruments: entry `i` runs under combination `i % 8`
+/// of jobs 1/2 × multiplex 1/3 × pipelined/sequential, plain and
+/// observed, and the reports must be bit-identical for every entry.
 #[test]
 fn registry_reports_identical_with_observability_enabled() {
     let spec = todomvc_spec();
@@ -121,17 +120,11 @@ fn registry_reports_identical_with_observability_enabled() {
         } else {
             PipelineMode::Off
         };
-        let eval = if (i / 8) % 2 == 0 {
-            EvalMode::Automaton
-        } else {
-            EvalMode::Stepper
-        };
         let options = base
             .clone()
             .with_jobs(jobs)
             .with_multiplex(multiplex)
-            .with_pipeline(pipeline)
-            .with_eval_mode(eval);
+            .with_pipeline(pipeline);
         let make =
             move || -> Box<dyn Executor> { Box::new(WebExecutor::new(move || entry.build())) };
         let plain = check_spec(&spec, &options, &make).expect("no protocol errors");
@@ -139,7 +132,7 @@ fn registry_reports_identical_with_observability_enabled() {
             .expect("no protocol errors");
         assert_eq!(
             observed, plain,
-            "{} (jobs {jobs}, multiplex {multiplex}, {pipeline:?}, {eval:?}): \
+            "{} (jobs {jobs}, multiplex {multiplex}, {pipeline:?}): \
              observability changed the report",
             entry.name
         );

@@ -24,14 +24,23 @@
 //! `(master seed, run index)` ([`derive_run_seed`]), so the report is
 //! bit-identical regardless of worker count.
 //!
+//! There is one evaluation path: each run steps the property's shared
+//! evaluation automaton ([`quickltl::TransitionTable`]) through the
+//! value-keyed atom memo and the step memo, falling back to the plain
+//! stepper ([`quickltl::Evaluator`]) only past the automaton's state cap.
+//! The stepper also drives [`explain_failure`], and the reference checker
+//! in [`oracle`] — the plain stepper, every atom expanded afresh, on the
+//! sequential runtime — is what the differential tests hold production
+//! reports to. It is reachable from tests only, never through
+//! [`CheckOptions`].
+//!
 //! By default each run itself executes on the two-stage *pipelined*
 //! runtime (`pipeline`): a driver stage owns the executor and the action
 //! strategy while an evaluator stage progresses the formula, lagging by up
 //! to [`CheckOptions::pipeline_depth`] states; a definitive verdict
 //! cancels the driver and discards the speculative tail, keeping reports
 //! bit-identical to the sequential engine
-//! ([`CheckOptions::pipeline`]` = `[`PipelineMode::Off`]), which remains
-//! available as the differential oracle.
+//! ([`CheckOptions::pipeline`]` = `[`PipelineMode::Off`]).
 //!
 //! ## Example
 //!
@@ -97,6 +106,7 @@
 
 pub mod explain;
 pub mod options;
+pub mod oracle;
 mod pipeline;
 pub mod pool;
 pub mod report;
@@ -105,9 +115,7 @@ pub mod runner;
 mod session;
 
 pub use explain::explain_failure;
-pub use options::{
-    AtomCacheMode, CheckOptions, EvalMode, FingerprintMode, PipelineMode, SelectionStrategy,
-};
+pub use options::{CheckOptions, FingerprintMode, PipelineMode, SelectionStrategy};
 pub use quickstrom_explore::{CoverageStats, StateFingerprint};
 pub use quickstrom_obs::{FailureExplanation, MetricsRegistry, ObsOptions, TraceLog, TraceOptions};
 pub use report::{Counterexample, PhaseTimings, PropertyReport, Report, RunResult, TraceEntry};

@@ -27,53 +27,6 @@ pub enum FingerprintMode {
     SpecAware,
 }
 
-/// How the checker progresses LTL formulae over observed states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Step a memoized evaluation automaton
-    /// ([`quickltl::TransitionTable`], shared per property across runs):
-    /// residual formulae are interned as states, transitions are keyed by
-    /// the observed atom-expansion shapes, and a table hit skips the
-    /// whole unroll/simplify/classify/step pipeline. Falls back to the
-    /// stepper mid-run when the residual space exceeds
-    /// [`CheckOptions::automaton_state_cap`]. Verdicts, traces and
-    /// shrink scripts are pinned bit-identical to [`EvalMode::Stepper`]
-    /// by the `differential_automaton` suite.
-    #[default]
-    Automaton,
-    /// The plain formula-progression stepper ([`quickltl::Evaluator`]),
-    /// re-deriving residuals per state. Kept as the differential oracle
-    /// and for formulae whose residual space defeats memoization.
-    Stepper,
-}
-
-impl EvalMode {
-    /// The mode's display name (also the `--eval-mode` flag syntax).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EvalMode::Automaton => "automaton",
-            EvalMode::Stepper => "stepper",
-        }
-    }
-
-    /// Parses an `--eval-mode` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<EvalMode> {
-        match s {
-            "automaton" | "table" => Some(EvalMode::Automaton),
-            "stepper" => Some(EvalMode::Stepper),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Whether each run executes as two overlapped pipeline stages or as the
 /// classic sequential loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,13 +39,13 @@ pub enum PipelineMode {
     /// lagging by up to [`CheckOptions::pipeline_depth`] states. A
     /// definitive verdict reached mid-pipeline cancels the driver and
     /// truncates the speculative tail, so reports stay bit-identical to
-    /// [`PipelineMode::Off`] (pinned by the `differential_pipeline`
-    /// suite).
+    /// [`PipelineMode::Off`] (pinned by the `differential` suite).
     #[default]
     On,
     /// The sequential engine: perform → ingest → LTL-step before the next
-    /// action fires. Kept as the differential oracle (and always used for
-    /// shrink replays, whose runs are short and verdict-bound).
+    /// action fires. Always used for shrink replays, whose runs are short
+    /// and verdict-bound, and by the reference checker
+    /// ([`crate::oracle`]).
     Off,
 }
 
@@ -123,61 +76,6 @@ impl std::fmt::Display for PipelineMode {
     }
 }
 
-/// How the checker reuses atom expansions across states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AtomCacheMode {
-    /// Value-keyed expansion memoization: an atom's cached expansion is
-    /// keyed by the hash of the footprint-restricted projection of the
-    /// current state, so the atom re-expands only when the slice of state
-    /// it can read takes a *value* never seen before. The memo is shared
-    /// at the property level across runs, workers, and shrink replays
-    /// (like the evaluation automaton), with deterministic first-insert
-    /// semantics and bounded FIFO eviction
-    /// ([`CheckOptions::atom_memo_capacity`]). Verdicts are pinned
-    /// bit-identical to the other modes by the `differential_atom_memo`
-    /// suite.
-    #[default]
-    Value,
-    /// The older evict-on-delta scheme: a per-run cache that drops an
-    /// atom's expansion whenever a snapshot delta touches its static
-    /// footprint (or `happened` changes). Revisiting a state after any
-    /// footprint-touching change re-evaluates the atom even though its
-    /// visible values are unchanged.
-    Footprint,
-    /// No expansion reuse: every atom re-evaluates at every state. The
-    /// differential oracle.
-    Off,
-}
-
-impl AtomCacheMode {
-    /// The mode's display name (also the `--atom-cache` flag syntax).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AtomCacheMode::Value => "value",
-            AtomCacheMode::Footprint => "footprint",
-            AtomCacheMode::Off => "off",
-        }
-    }
-
-    /// Parses an `--atom-cache` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<AtomCacheMode> {
-        match s {
-            "value" | "memo" => Some(AtomCacheMode::Value),
-            "footprint" | "delta" => Some(AtomCacheMode::Footprint),
-            "off" | "none" => Some(AtomCacheMode::Off),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for AtomCacheMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Options controlling a checking session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOptions {
@@ -203,36 +101,20 @@ pub struct CheckOptions {
     /// run seeds derive from `(seed, run index)` alone and results merge
     /// in run-index order (see DESIGN.md, *Parallel runtime*).
     pub jobs: usize,
-    /// Skip re-evaluating atoms whose static footprint a snapshot delta
-    /// did not touch (and whose `happened` view is unchanged), reusing the
-    /// previous expansion. Sound by the analysis over-approximation;
-    /// verdicts are pinned bit-identical to unmasked evaluation by
-    /// differential tests. On by default; disable to measure or to
-    /// cross-check.
-    pub mask_atoms: bool,
     /// Which state abstraction coverage fingerprints use.
     pub fingerprint: FingerprintMode,
-    /// How formulae are progressed: table-driven automaton (default) or
-    /// the plain stepper.
-    pub eval_mode: EvalMode,
-    /// How atom expansions are reused across states (see
-    /// [`AtomCacheMode`]). `mask_atoms == false` forces
-    /// [`AtomCacheMode::Off`] regardless of this field — see
-    /// [`CheckOptions::effective_atom_cache`].
-    pub atom_cache: AtomCacheMode,
     /// Maximum `(atom, projection-hash)` entries a property's shared
-    /// expansion memo may hold before deterministic FIFO eviction (only
-    /// meaningful under [`AtomCacheMode::Value`]). Clamped to at least 1.
+    /// expansion memo may hold before deterministic FIFO eviction.
+    /// Clamped to at least 1.
     pub atom_memo_capacity: usize,
     /// Maximum residual states a property's evaluation automaton may
-    /// intern before runs fall back to the stepper (see
-    /// [`EvalMode::Automaton`]). The fallback is verdict-invisible; the
-    /// cap only bounds memory and is exposed mainly so tests can force
-    /// the fallback path.
+    /// intern before runs fall back to the plain stepper mid-run. The
+    /// fallback is verdict-invisible; the cap only bounds memory and is
+    /// exposed mainly so tests can force the fallback path.
     pub automaton_state_cap: usize,
     /// Whether runs execute as two overlapped stages (driver + evaluator,
-    /// the default) or as the classic sequential loop (the differential
-    /// oracle). See [`PipelineMode`].
+    /// the default) or as the classic sequential loop. See
+    /// [`PipelineMode`].
     pub pipeline: PipelineMode,
     /// How many states the driver stage may run ahead of the evaluator
     /// stage under [`PipelineMode::On`] — the bound of the per-run state
@@ -247,14 +129,6 @@ pub struct CheckOptions {
     /// values help when the executor has real latency (remote executors,
     /// browsers). Report-invisible. Clamped to at least 1.
     pub multiplex: usize,
-    /// Whether automaton-mode runs may answer whole transitions from the
-    /// property's shared step memo (state-value transition cache). Replays
-    /// are exact — verdicts, traces and atom counters match an unmemoized
-    /// engine; only `ltl_table_hits` may run a sliver high (see
-    /// `PhaseTimings::step_memo_hits`) — so this is on by default; the
-    /// switch exists as the differential oracle (`differential_pipeline`
-    /// pins it) and because the footprint atom cache opts out implicitly.
-    pub step_memo: bool,
 }
 
 impl Default for CheckOptions {
@@ -267,16 +141,12 @@ impl Default for CheckOptions {
             shrink: true,
             strategy: SelectionStrategy::UniformRandom,
             jobs: 1,
-            mask_atoms: true,
             fingerprint: FingerprintMode::Shape,
-            eval_mode: EvalMode::Automaton,
-            atom_cache: AtomCacheMode::Value,
             atom_memo_capacity: 65_536,
             automaton_state_cap: 4096,
             pipeline: PipelineMode::On,
             pipeline_depth: 16,
             multiplex: 1,
-            step_memo: true,
         }
     }
 }
@@ -332,31 +202,10 @@ impl CheckOptions {
         self
     }
 
-    /// Returns the options with atom masking switched on or off.
-    #[must_use]
-    pub fn with_mask_atoms(mut self, mask_atoms: bool) -> Self {
-        self.mask_atoms = mask_atoms;
-        self
-    }
-
     /// Returns the options with the given fingerprint abstraction.
     #[must_use]
     pub fn with_fingerprint(mut self, fingerprint: FingerprintMode) -> Self {
         self.fingerprint = fingerprint;
-        self
-    }
-
-    /// Returns the options with the given formula-progression mode.
-    #[must_use]
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
-        self
-    }
-
-    /// Returns the options with the given atom-expansion cache mode.
-    #[must_use]
-    pub fn with_atom_cache(mut self, atom_cache: AtomCacheMode) -> Self {
-        self.atom_cache = atom_cache;
         self
     }
 
@@ -366,18 +215,6 @@ impl CheckOptions {
     pub fn with_atom_memo_capacity(mut self, capacity: usize) -> Self {
         self.atom_memo_capacity = capacity.max(1);
         self
-    }
-
-    /// The atom-cache mode actually in effect: `mask_atoms == false`
-    /// disables every reuse scheme (both caches key off the footprint
-    /// analysis), so it forces [`AtomCacheMode::Off`].
-    #[must_use]
-    pub fn effective_atom_cache(&self) -> AtomCacheMode {
-        if self.mask_atoms {
-            self.atom_cache
-        } else {
-            AtomCacheMode::Off
-        }
     }
 
     /// Returns the options with the given automaton state cap (clamped to
@@ -412,13 +249,6 @@ impl CheckOptions {
         self
     }
 
-    /// Returns the options with the step memo switched on or off.
-    #[must_use]
-    pub fn with_step_memo(mut self, step_memo: bool) -> Self {
-        self.step_memo = step_memo;
-        self
-    }
-
     /// The hard cap on actions in one run: the budget plus headroom for
     /// outstanding demands (a nested demand can require up to twice the
     /// default subscript in additional states).
@@ -437,13 +267,9 @@ mod tests {
         let o = CheckOptions::default();
         assert_eq!(o.default_demand, 100);
         assert!(o.shrink);
-        assert!(o.mask_atoms);
         assert_eq!(o.fingerprint, FingerprintMode::Shape);
-        assert_eq!(o.eval_mode, EvalMode::Automaton);
-        assert_eq!(o.atom_cache, AtomCacheMode::Value);
         assert_eq!(o.atom_memo_capacity, 65_536);
         assert_eq!(o.automaton_state_cap, 4096);
-        assert_eq!(o.effective_atom_cache(), AtomCacheMode::Value);
         assert_eq!(o.pipeline, PipelineMode::On);
         assert_eq!(o.pipeline_depth, 16);
         assert_eq!(o.multiplex, 1);
@@ -459,30 +285,19 @@ mod tests {
             .with_shrink(false)
             .with_strategy(SelectionStrategy::LeastTried)
             .with_jobs(4)
-            .with_mask_atoms(false)
             .with_fingerprint(FingerprintMode::SpecAware)
-            .with_eval_mode(EvalMode::Stepper)
-            .with_atom_cache(AtomCacheMode::Footprint)
             .with_atom_memo_capacity(0)
             .with_automaton_state_cap(0)
             .with_pipeline(PipelineMode::Off)
             .with_pipeline_depth(0)
             .with_multiplex(0);
-        assert!(!o.mask_atoms);
         assert_eq!(o.pipeline, PipelineMode::Off);
         assert_eq!(o.pipeline_depth, 1, "pipeline depth clamps to at least 1");
         assert_eq!(o.multiplex, 1, "multiplex clamps to at least 1");
-        assert_eq!(o.atom_cache, AtomCacheMode::Footprint);
         assert_eq!(
             o.atom_memo_capacity, 1,
             "memo capacity clamps to at least 1"
         );
-        assert_eq!(
-            o.effective_atom_cache(),
-            AtomCacheMode::Off,
-            "mask_atoms == false forces the cache off"
-        );
-        assert_eq!(o.eval_mode, EvalMode::Stepper);
         assert_eq!(o.automaton_state_cap, 1, "cap clamps to at least 1");
         assert_eq!(o.fingerprint, FingerprintMode::SpecAware);
         assert_eq!(o.tests, 5);
@@ -496,16 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_mode_names_round_trip() {
-        for mode in [EvalMode::Automaton, EvalMode::Stepper] {
-            assert_eq!(EvalMode::parse(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(EvalMode::parse("table"), Some(EvalMode::Automaton));
-        assert_eq!(EvalMode::parse("nope"), None);
-    }
-
-    #[test]
     fn pipeline_mode_names_round_trip() {
         for mode in [PipelineMode::On, PipelineMode::Off] {
             assert_eq!(PipelineMode::parse(mode.name()), Some(mode));
@@ -514,24 +319,5 @@ mod tests {
         assert_eq!(PipelineMode::parse("pipelined"), Some(PipelineMode::On));
         assert_eq!(PipelineMode::parse("sequential"), Some(PipelineMode::Off));
         assert_eq!(PipelineMode::parse("nope"), None);
-    }
-
-    #[test]
-    fn atom_cache_names_round_trip() {
-        for mode in [
-            AtomCacheMode::Value,
-            AtomCacheMode::Footprint,
-            AtomCacheMode::Off,
-        ] {
-            assert_eq!(AtomCacheMode::parse(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(AtomCacheMode::parse("memo"), Some(AtomCacheMode::Value));
-        assert_eq!(
-            AtomCacheMode::parse("delta"),
-            Some(AtomCacheMode::Footprint)
-        );
-        assert_eq!(AtomCacheMode::parse("none"), Some(AtomCacheMode::Off));
-        assert_eq!(AtomCacheMode::parse("nope"), None);
     }
 }

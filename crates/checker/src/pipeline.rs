@@ -35,9 +35,9 @@
 //! evaluator, whose replayed `Run` holds the exact canonical history,
 //! concludes the run at the first decision point where the condition
 //! holds. The hard action cap bounds that speculation absolutely.
-//! The `differential_pipeline` suite pins Report equality against
-//! `--pipeline off` across all bundled specs, jobs, snapshot modes, eval
-//! modes and cache modes.
+//! The `differential` suite pins Report equality against the reference
+//! checker (sequential, plain stepper) across all bundled specs, the
+//! registry, jobs, snapshot modes and pipeline depths.
 //!
 //! ## Multiplexing
 //!
@@ -52,8 +52,8 @@
 use crate::options::CheckOptions;
 use crate::pool::Cancellation;
 use crate::report::PhaseTimings;
-use crate::run::{ActionSource, Run, RunOutcome};
-use crate::runner::{derive_run_seed, CheckError, ExecutedRun, MakeExecutor, ObsCtx, RunObs};
+use crate::run::{ActionSource, Role, Run, RunOutcome};
+use crate::runner::{derive_run_seed, CheckCtx, CheckError, ExecutedRun, MakeExecutor, RunObs};
 use quickstrom_obs::{AttrValue, MetricsRecorder, SpanKind, TraceSink};
 use quickstrom_protocol::{ActionInstance, CheckerMsg, Executor, ExecutorMsg, TransportStats};
 use rand::rngs::StdRng;
@@ -218,7 +218,7 @@ fn drive_stage(
     prefix: &[ActionInstance],
     shared: &PipeShared,
     tx: SyncSender<StageEvent>,
-    obs: &ObsCtx,
+    obs: &CheckCtx,
 ) -> DriverOutcome {
     // The driver's own track: executor sends and backpressure stalls.
     // The evaluator stage's spans land on the run's sink (attached in
@@ -226,7 +226,14 @@ fn drive_stage(
     let mut sink = obs.sink(2 * index as u64, || format!("run {index} · driver"));
     let mut metrics = obs.recorder();
     let run_span = sink.open(SpanKind::Run);
-    let mut run = Run::observer(spec, check, property_name, property, options);
+    let mut run = Run::new(
+        spec,
+        check,
+        property_name,
+        property,
+        options,
+        Role::Observer,
+    );
     let mut source = ActionSource::Random {
         rng: StdRng::seed_from_u64(derive_run_seed(options.seed, index as u64)),
         prefix,
@@ -761,12 +768,20 @@ pub(crate) fn run_one_pipelined(
     make_executor: MakeExecutor<'_>,
     index: usize,
     prefix: Option<&[ActionInstance]>,
-    obs: &ObsCtx,
+    obs: &CheckCtx,
 ) -> Result<ExecutedRun, CheckError> {
     let shared = Arc::new(PipeShared::new());
     let (tx, rx) = mpsc::sync_channel(options.pipeline_depth.max(1));
     let mut stage = EvalStage::new(
-        Run::new(spec, check, property_name, property, options).with_obs(
+        Run::new(
+            spec,
+            check,
+            property_name,
+            property,
+            options,
+            Role::Evaluator,
+        )
+        .with_obs(
             obs.sink(2 * index as u64 + 1, || format!("run {index} · evaluator")),
             obs.recorder(),
         ),
@@ -830,7 +845,7 @@ pub(crate) fn run_batch_pipelined<'env>(
     count: usize,
     prefixes: Option<&'env [Option<Vec<ActionInstance>>]>,
     cancel: Option<&'env Cancellation>,
-    obs: &'env ObsCtx,
+    obs: &'env CheckCtx,
 ) -> Vec<Option<Result<ExecutedRun, CheckError>>> {
     if count == 0 {
         return Vec::new();
@@ -871,7 +886,15 @@ pub(crate) fn run_batch_pipelined<'env>(
                             let (tx, rx) = mpsc::sync_channel(options.pipeline_depth.max(1));
                             let run_index = base + slot;
                             let stage = EvalStage::new(
-                                Run::new(spec, check, property_name, property, options).with_obs(
+                                Run::new(
+                                    spec,
+                                    check,
+                                    property_name,
+                                    property,
+                                    options,
+                                    Role::Evaluator,
+                                )
+                                .with_obs(
                                     obs.sink(2 * run_index as u64 + 1, || {
                                         format!("run {run_index} · evaluator")
                                     }),

@@ -197,17 +197,16 @@ phase_timings! {
     /// Atom expansions requested by the evaluator across all steps.
     atoms_total: u64 => (sum, zero),
     /// Atom expansions actually evaluated — the rest were served from the
-    /// value-keyed expansion memo (default) or the footprint-masked cache
-    /// because the slice of state the atom can read provably had a value
-    /// already seen (see `CheckOptions::atom_cache`).
+    /// value-keyed expansion memo because the slice of state the atom can
+    /// read had a value already seen. Equal to `atoms_total` in the
+    /// reference checker ([`crate::oracle`]), which has no memo.
     atoms_reevaluated: u64 => (sum, zero),
-    /// Value-mode memo lookups served without re-evaluation (summed over
-    /// runs; the memo is shared per property). Zero outside
-    /// `AtomCacheMode::Value`. Under `jobs = N` the hit/miss split can
-    /// differ from `jobs = 1` (which worker warms an entry first is
+    /// Memo lookups served without re-evaluation (summed over runs; the
+    /// memo is shared per property). Under `jobs = N` the hit/miss split
+    /// can differ from `jobs = 1` (which worker warms an entry first is
     /// scheduling-dependent) even though verdicts are bit-identical.
     atom_memo_hits: u64 => (sum, zero),
-    /// Value-mode memo lookups that had to expand the atom (summed).
+    /// Memo lookups that had to expand the atom (summed).
     atom_memo_misses: u64 => (sum, zero),
     /// Memo entries evicted by the FIFO capacity bound
     /// (`CheckOptions::atom_memo_capacity`), summed over runs.
@@ -216,19 +215,19 @@ phase_timings! {
     /// (`quickltl::TransitionTable::state_count` at the end of the run).
     /// The table is shared by every run of a property, so [`absorb`]
     /// combines this field by *maximum*, not by sum — each run reports
-    /// the table size it last saw. Zero in `EvalMode::Stepper` mode.
+    /// the table size it last saw. Zero in the reference checker.
     ///
     /// [`absorb`]: PhaseTimings::absorb
     ltl_states: u64 => (max, zero),
     /// Formula-progression steps answered by a transition-table lookup
     /// instead of the unroll/simplify/classify pipeline (summed over
-    /// runs). Zero in `EvalMode::Stepper` mode.
+    /// runs). Zero in the reference checker.
     ltl_table_hits: u64 => (sum, zero),
     /// Formula-progression steps answered wholesale by the property's
     /// step memo — no atom expansion, no observation, no table step; the
     /// replay reproduces the counter deltas the full step would have
     /// produced, so every other counter here stays comparable (summed
-    /// over runs; see `CheckOptions::step_memo`). A step-memo hit also
+    /// over runs; see `specstrom::StepMemo`). A step-memo hit also
     /// counts as an `ltl_table_hits` hit; that counter may exceed an
     /// unmemoized engine's by a sliver, because a replayed step
     /// occasionally stands in for a table lookup that would have

@@ -2,9 +2,10 @@
 //! selection.
 //!
 //! A [`Run`] is the pure half of a test run — it owns the formula
-//! progression engine (a table-driven automaton or the plain stepper,
-//! see [`EvalMode`]), the recorded trace, the coverage observations and
-//! the action-selection state, but never talks to an executor itself. The I/O half lives in
+//! progression engine (the property's shared transition table, or the
+//! plain stepper, see [`Role`]), the recorded trace, the coverage
+//! observations and the action-selection state, but never talks to an
+//! executor itself. The I/O half lives in
 //! [`crate::session::Session`], which couples a `Run` with an executor
 //! and drives it to completion.
 //!
@@ -15,13 +16,12 @@
 //! incrementally from the snapshot pipeline's deltas (see DESIGN.md,
 //! *Exploration engine*).
 
-use crate::options::{AtomCacheMode, CheckOptions, EvalMode, FingerprintMode};
+use crate::options::{CheckOptions, FingerprintMode};
 use crate::report::{Counterexample, RunResult, TraceEntry};
 use crate::runner::CheckError;
 use quickltl::automaton::for_each_live_atom;
 use quickltl::{
-    AtomId, Evaluator, Formula, Observation, Outcome, StateId, StepReport, TableStep,
-    TransitionTable, Verdict,
+    AtomId, Evaluator, Formula, Observation, Outcome, StateId, StepReport, TableStep, Verdict,
 };
 use quickstrom_explore::{
     target_index, Candidate, Fingerprinter, ProjectionTermCache, RunCoverage, Strategy, StrategyCtx,
@@ -33,30 +33,13 @@ use quickstrom_protocol::{
 };
 use rand::rngs::StdRng;
 use specstrom::{
-    eval_guard, expand_thunk, footprint_of_thunk, ActionValue, AtomFootprint, AtomKeyer, AtomMemo,
-    CheckDef, CompiledAtom, CompiledSpec, EvalCtx, MemoEntry, StepEntry, StepMemo, StepNext, Thunk,
+    eval_guard, expand_thunk, ActionValue, AtomFootprint, AtomKeyer, CheckDef, CompiledAtom,
+    CompiledSpec, EvalCtx, MemoEntry, PropertyCache, StepEntry, StepNext, Thunk,
 };
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
-
-/// One cached atom expansion, keyed by [`Thunk::identity`].
-///
-/// Holding the `atom` itself keeps its `Arc`s alive, so the raw pointers
-/// in the cache key can never be reused by a different thunk while the
-/// entry exists — a lookup that matches the key *and* `atom == *thunk`
-/// (pointer equality on both halves) is guaranteed to be the same atom.
-struct CachedAtom {
-    /// The atom whose expansion is cached (pins the identity pointers).
-    atom: Thunk,
-    /// Its expansion in the previous state.
-    expansion: Formula<Thunk>,
-    /// The static over-approximation of what the expansion read: the
-    /// selectors (with fields) plus whether `happened` was consulted.
-    /// Entries are evicted as soon as a delta touches any of it.
-    footprint: AtomFootprint,
-}
+use std::sync::Arc;
 
 /// Per-run semantic record for one distinct atom (keyed by
 /// [`Thunk::identity`]): its cross-run semantic key, static footprint and
@@ -80,9 +63,9 @@ struct AtomRecord {
     compiled: Arc<CompiledAtom>,
 }
 
-/// What the expansion closure served: a concrete formula (fresh, or from
-/// the footprint cache), or a shared memo entry whose pre-abstracted
-/// shape the automaton path consumes without re-walking any IR.
+/// What the expansion closure served: a freshly expanded formula, or a
+/// shared memo entry whose pre-abstracted shape the automaton path
+/// consumes without re-walking any IR.
 enum Served {
     /// A concrete expansion.
     Formula(Formula<Thunk>),
@@ -250,18 +233,36 @@ impl Default for Choice {
     }
 }
 
-/// How this run progresses its formula (see [`EvalMode`]).
+/// What a [`Run`] does with the states it ingests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// The production evaluator: steps the property's shared
+    /// [`TransitionTable`](quickltl::TransitionTable) through the
+    /// value-keyed atom memo and the step memo of its [`PropertyCache`],
+    /// falling back to the stepper past the table's state cap.
+    Evaluator,
+    /// The reference checker's evaluator ([`crate::oracle`]): the plain
+    /// stepper with every atom expanded afresh. Touches no shared cache.
+    Oracle,
+    /// The executor-side stage of the pipelined runtime
+    /// ([`crate::pipeline`]): mirrors only
+    /// what action selection needs — the resolved state, the action
+    /// bookkeeping, and (when the strategy reads it) the coverage
+    /// fingerprint — and never expands an atom or steps the formula.
+    Observer,
+}
+
+/// How this run progresses its formula.
 enum Engine {
     /// Plain formula progression: the residual lives in the evaluator.
     Stepper(Evaluator<Thunk>),
     /// Table-driven progression against the property's shared
-    /// [`TransitionTable`]: the run only carries its current state id and
+    /// [`TransitionTable`](quickltl::TransitionTable) (held by the run's
+    /// [`PropertyCache`]): the run only carries its current state id and
     /// the concrete thunks bound to that state's abstract atoms. Falls
     /// back to [`Engine::Stepper`] mid-run (via [`Evaluator::resume`])
     /// when the table reports its state cap exceeded.
     Automaton {
-        /// The property's table, shared across runs (and worker threads).
-        table: Arc<Mutex<TransitionTable>>,
         /// Where in the automaton this run is.
         pos: AutomatonPos,
         /// States observed so far (mirrors [`Evaluator::states_seen`], so
@@ -280,7 +281,7 @@ enum AutomatonPos {
         /// Concrete thunk for each abstract atom id, indexed by id.
         bindings: Vec<Thunk>,
         /// Content signature of `bindings` (see [`bindings_sig`]) — one
-        /// half of the step-memo key. 0 when the step memo is inactive.
+        /// half of the step-memo key.
         sig: u64,
     },
     /// A definitive verdict was reached; latched like the evaluator.
@@ -297,24 +298,21 @@ enum StepPlan {
 
 /// The per-run machinery shared by random runs and scripted replays.
 ///
-/// A `Run` plays one of two roles. The *evaluator* role (the default,
-/// [`Run::new`]) is the full machine: formula progression, trace
-/// recording, coverage. The *observer* role ([`Run::observer`]) is the
-/// driver half of the pipelined runtime ([`crate::pipeline`]): it mirrors
-/// only what action selection needs — the resolved state, the action
-/// bookkeeping, and (when the strategy reads it) the coverage fingerprint
-/// — and never expands an atom or steps the formula, so
-/// [`Run::definitive`] stays `None` and the driver's stop signal comes
+/// A `Run` plays one of the three [`Role`]s. The evaluator and oracle
+/// roles are the full machine — formula progression, trace recording,
+/// coverage — and differ only in how they progress the formula. The
+/// observer role is the executor-side half of the pipelined runtime: its
+/// [`Run::definitive`] stays `None`, and that stage's stop signal comes
 /// from the evaluator stage instead.
 pub(crate) struct Run<'a> {
     pub(crate) spec: &'a CompiledSpec,
     pub(crate) check: &'a CheckDef,
     pub(crate) options: &'a CheckOptions,
-    /// Evaluator role: progress the formula and record the trace. The
-    /// observer role leaves both alone.
+    /// Progress the formula and record the trace? The observer role
+    /// leaves both alone.
     evaluate: bool,
-    /// Maintain coverage fingerprints? Always in the evaluator role; in
-    /// the observer role only when the strategy reads coverage
+    /// Maintain coverage fingerprints? Always in the evaluator and oracle
+    /// roles; in the observer role only when the strategy reads coverage
     /// ([`SelectionStrategy::needs_coverage`](quickstrom_explore::SelectionStrategy)).
     track_coverage: bool,
     /// States ingested so far. Equal to `trace.len()` in the evaluator
@@ -322,10 +320,11 @@ pub(crate) struct Run<'a> {
     /// delta checks key off this counter instead.
     pub(crate) states_count: usize,
     engine: Engine,
-    /// The automaton table, kept even after a mid-run fallback so the
-    /// `ltl_states` counter can still be read at session end. `None` in
-    /// stepper mode.
-    ltl_table: Option<Arc<Mutex<TransitionTable>>>,
+    /// The property's shared transition table, atom memo and step memo —
+    /// present exactly in the evaluator role, and kept even after a
+    /// mid-run fallback so the `ltl_states` counter can still be read at
+    /// session end.
+    cache: Option<Arc<PropertyCache>>,
     /// Steps answered by a memoized table transition (no pipeline work).
     pub(crate) ltl_table_hits: u64,
     /// Event name lookup: selector → declared `…?` event names.
@@ -362,16 +361,6 @@ pub(crate) struct Run<'a> {
     /// progression plus guard evaluation (the per-phase attribution behind
     /// [`crate::report::PhaseTimings::eval_s`]).
     pub(crate) eval_time: std::time::Duration,
-    /// The atom-cache mode in effect for this run
-    /// ([`CheckOptions::effective_atom_cache`], resolved once).
-    atom_cache_mode: AtomCacheMode,
-    /// [`AtomCacheMode::Footprint`] only: per-run expansions reused across
-    /// steps while no delta touches their footprint. Cleared on full
-    /// snapshots; pruned per delta.
-    atom_cache: HashMap<(usize, usize), CachedAtom>,
-    /// [`AtomCacheMode::Value`] only: the property-level expansion memo,
-    /// shared across runs, workers and shrink replays.
-    atom_memo: Option<Arc<AtomMemo>>,
     /// Per-run semantic records for distinct atoms, filled lazily on
     /// first expansion request.
     atom_records: HashMap<(usize, usize), AtomRecord>,
@@ -383,20 +372,15 @@ pub(crate) struct Run<'a> {
     projection_terms: ProjectionTermCache,
     /// Atom expansions requested by the evaluator over the whole run.
     pub(crate) atoms_total: u64,
-    /// Of those, how many actually re-evaluated (cache misses). With the
-    /// cache off the two counters are equal.
+    /// Of those, how many actually re-evaluated (memo misses). In the
+    /// oracle role, which has no memo, the two counters are equal.
     pub(crate) atoms_reevaluated: u64,
-    /// Value-mode memo lookups served without re-evaluation.
+    /// Memo lookups served without re-evaluation.
     pub(crate) atom_memo_hits: u64,
-    /// Value-mode memo lookups that had to expand the atom.
+    /// Memo lookups that had to expand the atom.
     pub(crate) atom_memo_misses: u64,
     /// Memo entries this run's insertions evicted (FIFO, capacity bound).
     pub(crate) atom_memo_evictions: u64,
-    /// Whole-transition step memo, shared per property like the automaton
-    /// table (automaton mode with the footprint cache off; see
-    /// [`StepMemo`] for the soundness contract and
-    /// [`CheckOptions::step_memo`] for the switch).
-    step_memo: Option<Arc<StepMemo>>,
     /// Steps answered entirely by the step memo (no expansion, no
     /// observation, no table step).
     pub(crate) step_memo_hits: u64,
@@ -433,122 +417,47 @@ impl<'a> Run<'a> {
         property_name: &str,
         property: &Thunk,
         options: &'a CheckOptions,
+        role: Role,
     ) -> Self {
-        Self::with_role(spec, check, property_name, property, options, true, true)
-    }
-
-    /// An observer-role run for the pipelined driver stage: no formula
-    /// progression, no trace, no atom machinery — just state resolution
-    /// and the action-selection bookkeeping, with coverage fingerprinting
-    /// only when the strategy actually reads it.
-    pub(crate) fn observer(
-        spec: &'a CompiledSpec,
-        check: &'a CheckDef,
-        property_name: &str,
-        property: &Thunk,
-        options: &'a CheckOptions,
-    ) -> Self {
-        Self::with_role(
-            spec,
-            check,
-            property_name,
-            property,
-            options,
-            false,
-            options.strategy.needs_coverage(),
-        )
-    }
-
-    fn with_role(
-        spec: &'a CompiledSpec,
-        check: &'a CheckDef,
-        property_name: &str,
-        property: &Thunk,
-        options: &'a CheckOptions,
-        evaluate: bool,
-        track_coverage: bool,
-    ) -> Self {
-        // Pick the progression engine. The automaton table is looked up by
-        // property *name* (plus the option knobs baked into residuals):
-        // `property_thunk` builds a fresh thunk per call, so the name is
-        // the stable cross-run key, while the thunk itself becomes the
-        // binding of the start state's single abstract atom. The observer
-        // role never steps an engine: it carries an inert stepper so
-        // `definitive()` stays `None` and no table or memo is touched.
-        let eval_mode = if evaluate {
-            options.eval_mode
-        } else {
-            EvalMode::Stepper
-        };
-        // Value mode shares one expansion memo per property (keyed like
-        // the automata registry, by name plus the option knobs baked into
-        // expansions), so runs, workers and shrink replays all warm the
-        // same memo. The observer role expands nothing, so it carries no
-        // cache at all.
-        let atom_cache_mode = if evaluate {
-            options.effective_atom_cache()
-        } else {
-            AtomCacheMode::Off
-        };
-        // The step memo piggybacks on the automaton engine and replays
-        // Off/Value-mode counter deltas exactly; the footprint cache's
-        // re-evaluation count depends on per-run cache warmth, which a
-        // shared memo cannot replay, so that mode opts out.
-        let step_memo = (matches!(eval_mode, EvalMode::Automaton)
-            && atom_cache_mode != AtomCacheMode::Footprint
-            && options.step_memo)
-            .then(|| {
-                spec.step_memos.memo(
-                    property_name,
-                    options.default_demand,
-                    options.automaton_state_cap,
-                    &spec.analysis,
-                )
-            });
+        // Only the evaluator role touches the property's shared cache. It
+        // is looked up by property *name* (plus the option knobs baked
+        // into residuals and bounds): `property_thunk` builds a fresh
+        // thunk per call, so the name is the stable cross-run key, while
+        // the thunk itself becomes the binding of the start state's
+        // single abstract atom.
+        let cache = (role == Role::Evaluator).then(|| {
+            spec.caches.cache(
+                property_name,
+                options.default_demand,
+                options.automaton_state_cap,
+                options.atom_memo_capacity,
+                &spec.analysis,
+            )
+        });
         let mut binding_keyer = AtomKeyer::new();
         let mut binding_keys = HashMap::new();
-        let (engine, ltl_table) = match eval_mode {
-            EvalMode::Stepper => (
-                Engine::Stepper(Evaluator::new(Formula::Atom(property.clone()))),
-                None,
-            ),
-            EvalMode::Automaton => {
-                let table = spec.automata.table(
-                    property_name,
-                    options.default_demand,
-                    options.automaton_state_cap,
-                );
-                let start = table.lock().expect("automaton table poisoned").start();
-                let sig = if step_memo.is_some() {
-                    bindings_sig(
+        let engine = match &cache {
+            Some(cache) => Engine::Automaton {
+                pos: AutomatonPos::Running {
+                    id: cache
+                        .table
+                        .lock()
+                        .expect("automaton table poisoned")
+                        .start(),
+                    bindings: vec![property.clone()],
+                    sig: bindings_sig(
                         &mut binding_keyer,
                         &mut binding_keys,
                         std::slice::from_ref(property),
-                    )
-                } else {
-                    0
-                };
-                (
-                    Engine::Automaton {
-                        table: Arc::clone(&table),
-                        pos: AutomatonPos::Running {
-                            id: start,
-                            bindings: vec![property.clone()],
-                            sig,
-                        },
-                        states_seen: 0,
-                    },
-                    Some(table),
-                )
-            }
+                    ),
+                },
+                states_seen: 0,
+            },
+            // The oracle steps the plain stepper; the observer role never
+            // steps at all and carries an inert one, so `definitive()`
+            // stays `None`.
+            None => Engine::Stepper(Evaluator::new(Formula::Atom(property.clone()))),
         };
-        let atom_memo = (atom_cache_mode == AtomCacheMode::Value).then(|| {
-            spec.atom_memos.memo(
-                property_name,
-                options.default_demand,
-                options.atom_memo_capacity,
-            )
-        });
         let mut events_by_selector: BTreeMap<Selector, Vec<Symbol>> = BTreeMap::new();
         let mut event_timeouts = BTreeMap::new();
         for name in &check.events {
@@ -566,11 +475,11 @@ impl<'a> Run<'a> {
             spec,
             check,
             options,
-            evaluate,
-            track_coverage,
+            evaluate: role != Role::Observer,
+            track_coverage: role != Role::Observer || options.strategy.needs_coverage(),
             states_count: 0,
             engine,
-            ltl_table,
+            cache,
             ltl_table_hits: 0,
             events_by_selector,
             event_timeouts,
@@ -593,9 +502,6 @@ impl<'a> Run<'a> {
             last_report: None,
             pending_wait: None,
             eval_time: std::time::Duration::ZERO,
-            atom_cache_mode,
-            atom_cache: HashMap::new(),
-            atom_memo,
             atom_records: HashMap::new(),
             atom_keyer: AtomKeyer::new(),
             projection_terms: ProjectionTermCache::new(),
@@ -604,7 +510,6 @@ impl<'a> Run<'a> {
             atom_memo_hits: 0,
             atom_memo_misses: 0,
             atom_memo_evictions: 0,
-            step_memo,
             step_memo_hits: 0,
             binding_keyer,
             binding_keys,
@@ -688,56 +593,20 @@ impl<'a> Run<'a> {
             .resolve(self.last_state.as_ref())
             .map_err(|e| CheckError::new(e.to_string()))?;
         state.happened = happened.clone();
-        // Atom-cache bookkeeping (DESIGN.md, *Atom expansion
-        // memoization*). Footprint mode: a cached expansion stays valid
-        // exactly while nothing it could have read changed — full
-        // snapshots carry no change information, so they flush
-        // everything; a delta evicts the entries whose footprint it
-        // touches, including every `happened`-reading atom whenever the
-        // `happened` list differs. Eviction is eager (per step, before
-        // evaluation) so the cache never holds a stale entry. Value mode
-        // needs no eviction at all — entries are keyed by the projected
-        // *values* — but the per-selector projection-term cache must
-        // track state changes the same way the coverage fingerprinter
-        // does: cleared on full snapshots, invalidated per changed
-        // selector on deltas (O(changed) per step).
-        match self.atom_cache_mode {
-            AtomCacheMode::Off => {
-                self.atom_cache.clear();
-                // The step memo's state-value signature draws from the
-                // projection-term cache, so keep it fresh even without
-                // the value-keyed atom memo.
-                if self.step_memo.is_some() {
-                    match update {
-                        StateUpdate::Full(_) => self.projection_terms.clear(),
-                        StateUpdate::Delta(delta) => {
-                            self.projection_terms.invalidate(&delta.changed_selectors());
-                        }
-                    }
-                }
-            }
-            AtomCacheMode::Footprint => {
-                debug_assert!(self.evaluate, "observer runs carry no atom cache");
-                if matches!(update, StateUpdate::Full(_)) {
-                    self.atom_cache.clear();
-                } else if let StateUpdate::Delta(delta) = update {
-                    let changed = delta.changed_selectors();
-                    let happened_changed = self
-                        .last_state
-                        .as_ref()
-                        .is_none_or(|prev| prev.happened != state.happened);
-                    self.atom_cache.retain(|_, entry| {
-                        (!entry.footprint.reads_happened || !happened_changed)
-                            && !entry.footprint.touches_any(&changed)
-                    });
-                }
-            }
-            AtomCacheMode::Value => match update {
+        // Memo bookkeeping (DESIGN.md, *Atom expansion memoization*): the
+        // value-keyed memos need no eviction — entries are keyed by the
+        // projected *values* — but the per-selector projection-term cache
+        // they hash from must track state changes the same way the
+        // coverage fingerprinter does: cleared on full snapshots,
+        // invalidated per changed selector on deltas (O(changed) per
+        // step).
+        if self.cache.is_some() {
+            match update {
                 StateUpdate::Full(_) => self.projection_terms.clear(),
                 StateUpdate::Delta(delta) => {
                     self.projection_terms.invalidate(&delta.changed_selectors());
                 }
-            },
+            }
         }
         if self.track_coverage {
             let fp = self.coverage.fingerprinter().observe_update(&state, update);
@@ -772,16 +641,15 @@ impl<'a> Run<'a> {
         // borrow split below — it shares the projection-term cache with
         // atom expansion. Only worth computing when an automaton step will
         // actually consult the memo.
-        let step_memo = self.step_memo.clone();
-        let state_sig = match (&step_memo, &self.engine) {
+        let state_sig = match (&self.cache, &self.engine) {
             (
-                Some(sm),
+                Some(cache),
                 Engine::Automaton {
                     pos: AutomatonPos::Running { .. },
                     ..
                 },
             ) => Some(projection_hash(
-                &sm.footprint,
+                &cache.steps.footprint,
                 &state,
                 &self.spec.analysis.masks,
                 &mut self.projection_terms,
@@ -797,14 +665,13 @@ impl<'a> Run<'a> {
         // borrows have ended.
         let mut step_replayed: Option<u64> = None;
         // Split the borrows up front: the expansion closure needs the
-        // caches and counters while the engine match holds the engine
-        // (and, in automaton mode, the hit counter).
-        let mode = self.atom_cache_mode;
-        let cache = &mut self.atom_cache;
+        // memo and counters while the engine match holds the engine (and,
+        // in automaton mode, the hit counter).
+        let cache = self.cache.as_deref();
+        let memo = cache.map(|c| &c.atoms);
         let records = &mut self.atom_records;
         let keyer = &mut self.atom_keyer;
         let projection_terms = &mut self.projection_terms;
-        let memo = self.atom_memo.as_deref();
         let masks: &BTreeMap<Selector, FieldMask> = &self.spec.analysis.masks;
         let atoms_total = &mut self.atoms_total;
         let atoms_reevaluated = &mut self.atoms_reevaluated;
@@ -821,68 +688,44 @@ impl<'a> Run<'a> {
         let mut expand = |thunk: &Thunk| -> Result<Served, specstrom::EvalError> {
             *atoms_total += 1;
             expansion_requests.set(expansion_requests.get() + 1);
-            match mode {
-                AtomCacheMode::Off => {
-                    *atoms_reevaluated += 1;
-                    Ok(Served::Formula(expand_thunk(thunk, &ctx)?))
+            let Some(memo) = memo else {
+                // The oracle: every atom expanded afresh.
+                *atoms_reevaluated += 1;
+                return Ok(Served::Formula(expand_thunk(thunk, &ctx)?));
+            };
+            let record = records.entry(thunk.identity()).or_insert_with(|| {
+                let key = keyer.key(thunk);
+                let (footprint, compiled) = memo.compile_info(key, thunk);
+                AtomRecord {
+                    atom: thunk.clone(),
+                    key,
+                    footprint,
+                    compiled,
                 }
-                AtomCacheMode::Footprint => {
-                    if let Some(entry) = cache.get(&thunk.identity()) {
-                        if entry.atom == *thunk {
-                            return Ok(Served::Formula(entry.expansion.clone()));
-                        }
-                    }
-                    *atoms_reevaluated += 1;
-                    let expansion = expand_thunk(thunk, &ctx)?;
-                    cache.insert(
-                        thunk.identity(),
-                        CachedAtom {
-                            atom: thunk.clone(),
-                            expansion: expansion.clone(),
-                            footprint: footprint_of_thunk(thunk),
-                        },
+            });
+            let projection = projection_hash(&record.footprint, state_ref, masks, projection_terms);
+            let key = (record.key, projection);
+            if let Some(entry) = memo.lookup(key) {
+                *memo_hits += 1;
+                // Collision safety: in debug builds every hit is re-derived
+                // and compared structurally (modulo atom addresses). A
+                // 128-bit key collision would trip this before it could
+                // corrupt a verdict.
+                if cfg!(debug_assertions) {
+                    let fresh = record.compiled.expand(thunk, &ctx)?;
+                    debug_assert!(
+                        entry.matches_expansion(&fresh),
+                        "atom memo collision: key {key:?} served a structurally \
+                         different expansion"
                     );
-                    Ok(Served::Formula(expansion))
                 }
-                AtomCacheMode::Value => {
-                    let memo = memo.expect("value mode carries a memo");
-                    let record = records.entry(thunk.identity()).or_insert_with(|| {
-                        let key = keyer.key(thunk);
-                        let (footprint, compiled) = memo.compile_info(key, thunk);
-                        AtomRecord {
-                            atom: thunk.clone(),
-                            key,
-                            footprint,
-                            compiled,
-                        }
-                    });
-                    let projection =
-                        projection_hash(&record.footprint, state_ref, masks, projection_terms);
-                    let key = (record.key, projection);
-                    if let Some(entry) = memo.lookup(key) {
-                        *memo_hits += 1;
-                        // Collision safety: in debug builds every hit is
-                        // re-derived and compared structurally (modulo
-                        // atom addresses). A 128-bit key collision would
-                        // trip this before it could corrupt a verdict.
-                        if cfg!(debug_assertions) {
-                            let fresh = record.compiled.expand(thunk, &ctx)?;
-                            debug_assert!(
-                                entry.matches_expansion(&fresh),
-                                "atom memo collision: key {key:?} served a structurally \
-                                 different expansion"
-                            );
-                        }
-                        return Ok(Served::Memo(entry));
-                    }
-                    *memo_misses += 1;
-                    *atoms_reevaluated += 1;
-                    let expansion = record.compiled.expand(thunk, &ctx)?;
-                    *memo_evictions +=
-                        memo.insert(key, MemoEntry::build(thunk.clone(), expansion.clone()));
-                    Ok(Served::Formula(expansion))
-                }
+                return Ok(Served::Memo(entry));
             }
+            *memo_misses += 1;
+            *atoms_reevaluated += 1;
+            let expansion = record.compiled.expand(thunk, &ctx)?;
+            *memo_evictions += memo.insert(key, MemoEntry::build(thunk.clone(), expansion.clone()));
+            Ok(Served::Formula(expansion))
         };
         let step_span = sink.open(SpanKind::Step);
         let eval_started = std::time::Instant::now();
@@ -897,14 +740,11 @@ impl<'a> Run<'a> {
                 });
                 StepPlan::Report(report)
             }
-            Engine::Automaton {
-                table,
-                pos,
-                states_seen,
-            } => match pos {
+            Engine::Automaton { pos, states_seen } => match pos {
                 // Latched, like the evaluator: no atom is expanded.
                 AutomatonPos::Done(b) => StepPlan::Report(StepReport::Definitive(*b)),
                 AutomatonPos::Running { id, bindings, sig } => 'step: {
+                    let cache = cache.expect("automaton runs carry a property cache");
                     // Step-memo fast path: key the transition by (state
                     // id, bindings signature, state-value signature) and
                     // replay its outcome wholesale — no expansion, no
@@ -913,51 +753,54 @@ impl<'a> Run<'a> {
                     // transition issued, so the atom counters stay what an
                     // unmemoized engine would have reported (applied after
                     // the plan match; see `step_replayed`).
-                    let memo_key = state_sig.map(|ssig| (*id, *sig, ssig));
-                    if let (Some(sm), Some(key)) = (step_memo.as_deref(), memo_key) {
-                        if let Some(entry) = sm.lookup(key) {
-                            step_replayed = Some(entry.expansions);
-                            // A replay counts as a table hit: the entry's
-                            // transition was interned when it was recorded,
-                            // and its successor state is already interned
-                            // (`ltl_states` stays exact). The count can
-                            // exceed the unmemoized engine's by a sliver —
-                            // rarely, the observation an unmemoized step
-                            // would rebuild here differs *structurally*
-                            // (thunk-identity sharing shifts with atom-memo
-                            // warmth) while simplifying to the same
-                            // successor, so the counterfactual lookup would
-                            // re-intern instead of hit. Verdicts, traces,
-                            // and atom counters are unaffected.
-                            *ltl_table_hits += 1;
-                            *step_memo_hits += 1;
-                            *states_seen += 1;
-                            break 'step match &entry.next {
-                                StepNext::Done(b) => {
-                                    *pos = AutomatonPos::Done(*b);
-                                    StepPlan::Report(StepReport::Definitive(*b))
-                                }
-                                StepNext::Goto {
-                                    state: next,
-                                    presumptive,
-                                    bindings: next_bindings,
-                                    bindings_sig: next_sig,
-                                } => {
-                                    *pos = AutomatonPos::Running {
-                                        id: *next,
-                                        bindings: next_bindings.clone(),
-                                        sig: *next_sig,
-                                    };
-                                    StepPlan::Report(StepReport::Continue {
-                                        presumptive: *presumptive,
-                                    })
-                                }
-                            };
-                        }
+                    let memo_key = (
+                        *id,
+                        *sig,
+                        state_sig.expect("running automaton steps hash the state"),
+                    );
+                    if let Some(entry) = cache.steps.lookup(memo_key) {
+                        step_replayed = Some(entry.expansions);
+                        // A replay counts as a table hit: the entry's
+                        // transition was interned when it was recorded,
+                        // and its successor state is already interned
+                        // (`ltl_states` stays exact). The count can
+                        // exceed the unmemoized engine's by a sliver —
+                        // rarely, the observation an unmemoized step
+                        // would rebuild here differs *structurally*
+                        // (thunk-identity sharing shifts with atom-memo
+                        // warmth) while simplifying to the same
+                        // successor, so the counterfactual lookup would
+                        // re-intern instead of hit. Verdicts, traces,
+                        // and atom counters are unaffected.
+                        *ltl_table_hits += 1;
+                        *step_memo_hits += 1;
+                        *states_seen += 1;
+                        break 'step match &entry.next {
+                            StepNext::Done(b) => {
+                                *pos = AutomatonPos::Done(*b);
+                                StepPlan::Report(StepReport::Definitive(*b))
+                            }
+                            StepNext::Goto {
+                                state: next,
+                                presumptive,
+                                bindings: next_bindings,
+                                bindings_sig: next_sig,
+                            } => {
+                                *pos = AutomatonPos::Running {
+                                    id: *next,
+                                    bindings: next_bindings.clone(),
+                                    sig: *next_sig,
+                                };
+                                StepPlan::Report(StepReport::Continue {
+                                    presumptive: *presumptive,
+                                })
+                            }
+                        };
                     }
                     let expansions_before = expansion_requests.get();
                     let atoms_span = sink.open(SpanKind::Atoms);
-                    let live = table
+                    let live = cache
+                        .table
                         .lock()
                         .expect("automaton table poisoned")
                         .live_atoms(*id);
@@ -1025,7 +868,8 @@ impl<'a> Run<'a> {
                         ));
                     });
                     let table_span = sink.open(SpanKind::AutomatonStep);
-                    let step = table
+                    let step = cache
+                        .table
                         .lock()
                         .expect("automaton table poisoned")
                         .step(*id, &obs);
@@ -1043,16 +887,13 @@ impl<'a> Run<'a> {
                             let expansions = expansion_requests.get() - expansions_before;
                             match step {
                                 TableStep::Done(b) => {
-                                    if let (Some(sm), Some(key)) = (step_memo.as_deref(), memo_key)
-                                    {
-                                        sm.insert(
-                                            key,
-                                            StepEntry {
-                                                next: StepNext::Done(b),
-                                                expansions,
-                                            },
-                                        );
-                                    }
+                                    cache.steps.insert(
+                                        memo_key,
+                                        StepEntry {
+                                            next: StepNext::Done(b),
+                                            expansions,
+                                        },
+                                    );
                                     *pos = AutomatonPos::Done(b);
                                     StepPlan::Report(StepReport::Definitive(b))
                                 }
@@ -1065,26 +906,20 @@ impl<'a> Run<'a> {
                                         .iter()
                                         .map(|&s| step_thunks[s as usize].clone())
                                         .collect();
-                                    let next_sig = if step_memo.is_some() {
-                                        bindings_sig(binding_keyer, binding_keys, &bindings)
-                                    } else {
-                                        0
-                                    };
-                                    if let (Some(sm), Some(key)) = (step_memo.as_deref(), memo_key)
-                                    {
-                                        sm.insert(
-                                            key,
-                                            StepEntry {
-                                                next: StepNext::Goto {
-                                                    state: next,
-                                                    presumptive,
-                                                    bindings: bindings.clone(),
-                                                    bindings_sig: next_sig,
-                                                },
-                                                expansions,
+                                    let next_sig =
+                                        bindings_sig(binding_keyer, binding_keys, &bindings);
+                                    cache.steps.insert(
+                                        memo_key,
+                                        StepEntry {
+                                            next: StepNext::Goto {
+                                                state: next,
+                                                presumptive,
+                                                bindings: bindings.clone(),
+                                                bindings_sig: next_sig,
                                             },
-                                        );
-                                    }
+                                            expansions,
+                                        },
+                                    );
                                     *pos = AutomatonPos::Running {
                                         id: next,
                                         bindings,
@@ -1101,11 +936,11 @@ impl<'a> Run<'a> {
                             // way): reconstitute the concrete residual and
                             // resume the stepper exactly where the table
                             // left off. Re-observing the current state
-                            // below re-expands its atoms; with a cache
-                            // mode on the memo or footprint cache serves
-                            // them, and the fallback is verdict-invisible
-                            // either way.
-                            let formula = table
+                            // below re-expands its atoms, which the atom
+                            // memo serves; the fallback is
+                            // verdict-invisible.
+                            let formula = cache
+                                .table
                                 .lock()
                                 .expect("automaton table poisoned")
                                 .state_formula(*id)
@@ -1138,18 +973,11 @@ impl<'a> Run<'a> {
         };
         // A step-memo hit replays the original transition's expansion
         // count into the atom counters (the closure's borrows have ended
-        // here). Off mode re-evaluates every request, Value mode would
-        // have served every one from the (necessarily warm — the original
-        // transition inserted them) atom memo.
+        // here): the atom memo would have served every one of those
+        // requests, since the original transition inserted them.
         if let Some(expansions) = step_replayed {
             self.atoms_total += expansions;
-            match self.atom_cache_mode {
-                AtomCacheMode::Off => self.atoms_reevaluated += expansions,
-                AtomCacheMode::Value => self.atom_memo_hits += expansions,
-                AtomCacheMode::Footprint => {
-                    unreachable!("step memo is disabled under the footprint cache")
-                }
-            }
+            self.atom_memo_hits += expansions;
         }
         let elapsed = eval_started.elapsed();
         self.eval_time += elapsed;
@@ -1172,14 +1000,16 @@ impl<'a> Run<'a> {
     }
 
     /// The number of residual states the property's automaton table holds
-    /// (0 in stepper mode). Read at session end for
+    /// (0 in the oracle role). Read at session end for
     /// [`crate::report::PhaseTimings::ltl_states`]; the table survives a
     /// mid-run stepper fallback, so the counter stays meaningful.
     pub(crate) fn ltl_states(&self) -> u64 {
-        self.ltl_table
-            .as_ref()
-            .map(|t| t.lock().expect("automaton table poisoned").state_count() as u64)
-            .unwrap_or(0)
+        self.cache.as_ref().map_or(0, |c| {
+            c.table
+                .lock()
+                .expect("automaton table poisoned")
+                .state_count() as u64
+        })
     }
 
     /// Engine-dispatched forced verdict (see [`Evaluator::forced_outcome`]):
@@ -1191,11 +1021,7 @@ impl<'a> Run<'a> {
     fn forced_outcome(&self) -> Outcome {
         match &self.engine {
             Engine::Stepper(ev) => ev.forced_outcome(),
-            Engine::Automaton {
-                table,
-                pos,
-                states_seen,
-            } => {
+            Engine::Automaton { pos, states_seen } => {
                 if let Some(report) = self.last_report {
                     if let Outcome::Verdict(v) = report.outcome() {
                         return Outcome::Verdict(v);
@@ -1207,7 +1033,10 @@ impl<'a> Run<'a> {
                 match pos {
                     AutomatonPos::Done(b) => Outcome::Verdict(Verdict::definitely(*b)),
                     AutomatonPos::Running { id, .. } => Outcome::Verdict(Verdict::presumably(
-                        table
+                        self.cache
+                            .as_ref()
+                            .expect("automaton runs carry a property cache")
+                            .table
                             .lock()
                             .expect("automaton table poisoned")
                             .forced_default(*id),

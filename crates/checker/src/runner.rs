@@ -29,7 +29,7 @@ use crate::options::{CheckOptions, PipelineMode};
 use crate::pipeline;
 use crate::pool::{self, Cancellation};
 use crate::report::{Counterexample, PhaseTimings, PropertyReport, Report, RunResult};
-use crate::run::{ActionSource, RunOutcome};
+use crate::run::{ActionSource, Role, RunOutcome};
 use crate::session::Session;
 use quickstrom_explore::{CoverageMap, CoverageStats, RunCoverage, TraceCorpus};
 use quickstrom_obs::{
@@ -116,22 +116,27 @@ pub fn derive_run_seed(master_seed: u64, run_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-property observability context: shared options, a common time
-/// origin (so every track's timestamps are comparable), and the
-/// chrome-trace process id the property's tracks are grouped under.
+/// The per-property check context: the [`Role`] every run's evaluator
+/// plays (the production evaluator, or the reference checker's oracle),
+/// plus the observability setup — shared options, a common time origin
+/// (so every track's timestamps are comparable), and the chrome-trace
+/// process id the property's tracks are grouped under.
 ///
 /// Everything is read-only and `Sync`, so worker threads share one context
 /// by reference. When observability is off, every sink/recorder it hands
 /// out is disabled — a single branch per span, no allocation.
-pub(crate) struct ObsCtx {
+pub(crate) struct CheckCtx {
+    pub(crate) role: Role,
     pub(crate) opts: ObsOptions,
     pub(crate) origin: Instant,
     pub(crate) pid: u32,
 }
 
-impl ObsCtx {
-    pub(crate) fn disabled() -> Self {
-        ObsCtx {
+impl CheckCtx {
+    /// A context with observability off.
+    pub(crate) fn unobserved(role: Role) -> Self {
+        CheckCtx {
+            role,
             opts: ObsOptions::disabled(),
             origin: Instant::now(),
             pid: 0,
@@ -207,7 +212,7 @@ fn run_one(
     make_executor: MakeExecutor<'_>,
     index: usize,
     prefix: Option<&[ActionInstance]>,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
 ) -> Result<ExecutedRun, CheckError> {
     if options.pipeline == PipelineMode::On {
         return pipeline::run_one_pipelined(
@@ -219,7 +224,7 @@ fn run_one(
             make_executor,
             index,
             prefix,
-            obs,
+            ctx,
         );
     }
     let mut session = Session::new(
@@ -228,11 +233,12 @@ fn run_one(
         property_name,
         property,
         options,
+        ctx.role,
         make_executor(),
     )
     .with_obs(
-        obs.sink(2 * index as u64, || format!("run {index}")),
-        obs.recorder(),
+        ctx.sink(2 * index as u64, || format!("run {index}")),
+        ctx.recorder(),
     );
     let mut source = ActionSource::Random {
         rng: StdRng::seed_from_u64(derive_run_seed(options.seed, index as u64)),
@@ -265,7 +271,7 @@ fn run_one(
 
 /// The sequential loop: run in index order, stop at the first failure (or
 /// error), exactly like the original tool.
-#[allow(clippy::too_many_arguments)] // internal: the obs context pushes it over
+#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
 fn run_tests_sequential(
     spec: &CompiledSpec,
     check: &CheckDef,
@@ -273,7 +279,7 @@ fn run_tests_sequential(
     property: &Thunk,
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
 ) -> Result<Vec<ExecutedRun>, CheckError> {
     let mut executed = Vec::new();
     for index in 0..options.tests {
@@ -286,7 +292,7 @@ fn run_tests_sequential(
             make_executor,
             index,
             None,
-            obs,
+            ctx,
         )?;
         let failed = run.result.is_failure();
         executed.push(run);
@@ -301,7 +307,7 @@ fn run_tests_sequential(
 /// once some run stops the sequence (failure or error), *later* indices
 /// may be skipped, and the results are merged in canonical index order so
 /// the outcome matches [`run_tests_sequential`] bit for bit.
-#[allow(clippy::too_many_arguments)] // internal: the obs context pushes it over
+#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
 fn run_tests_parallel(
     spec: &CompiledSpec,
     check: &CheckDef,
@@ -309,7 +315,7 @@ fn run_tests_parallel(
     property: &Thunk,
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
 ) -> Result<Vec<ExecutedRun>, CheckError> {
     let cancel = Cancellation::new();
     let multiplexed = options.pipeline == PipelineMode::On && options.multiplex > 1;
@@ -328,7 +334,7 @@ fn run_tests_parallel(
             options.tests,
             None,
             Some(&cancel),
-            obs,
+            ctx,
         )
     } else {
         pool::run_ordered(options.jobs, options.tests, |index| {
@@ -344,7 +350,7 @@ fn run_tests_parallel(
                 make_executor,
                 index,
                 None,
-                obs,
+                ctx,
             );
             let stops = match &outcome {
                 Ok(run) => run.result.is_failure(),
@@ -405,7 +411,7 @@ struct CorpusOutcome {
 /// Stop-at-first-failure matches the sequential semantics: the merge
 /// stops at the first failing index (inclusive); later runs of that
 /// epoch are discarded identically for every `jobs` value.
-#[allow(clippy::too_many_arguments)] // internal: the obs context pushes it over
+#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
 fn run_tests_corpus(
     spec: &CompiledSpec,
     check: &CheckDef,
@@ -413,7 +419,7 @@ fn run_tests_corpus(
     property: &Thunk,
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
 ) -> Result<CorpusOutcome, CheckError> {
     let mut corpus = TraceCorpus::default();
     let mut coverage = CoverageMap::new();
@@ -447,7 +453,7 @@ fn run_tests_corpus(
                 end - start,
                 Some(&prefixes),
                 None,
-                obs,
+                ctx,
             )
             .into_iter()
             .map(|slot| slot.expect("corpus epochs run without cancellation"))
@@ -463,7 +469,7 @@ fn run_tests_corpus(
                     make_executor,
                     start + k,
                     prefixes[k].as_deref(),
-                    obs,
+                    ctx,
                 )
             })
         };
@@ -500,12 +506,14 @@ fn run_tests_corpus(
 }
 
 /// Runs one scripted replay; used by the shrinker.
+#[allow(clippy::too_many_arguments)] // internal: the role pushes it over
 fn replay(
     spec: &CompiledSpec,
     check: &CheckDef,
     property_name: &str,
     property: &Thunk,
     options: &CheckOptions,
+    role: Role,
     make_executor: MakeExecutor<'_>,
     script: &[ActionInstance],
 ) -> Result<(RunOutcome, PhaseTimings, TransportStats), CheckError> {
@@ -515,6 +523,7 @@ fn replay(
         property_name,
         property,
         options,
+        role,
         make_executor(),
     );
     let mut source = ActionSource::Script {
@@ -543,14 +552,14 @@ fn shrink(
     mut failing: Counterexample,
     timings: &mut PhaseTimings,
     transport: &mut TransportStats,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
     run_obs: &mut RunObs,
 ) -> Result<Counterexample, CheckError> {
     // The shrink search gets its own track: one `shrink` span around the
     // whole search, one `shrink-replay` span per candidate. The replay
     // sessions themselves run with observability off, mirroring
     // `reset_for_replay`'s exclusion of replay counters from the report.
-    let mut sink = obs.sink(SHRINK_TID, || format!("{property_name} · shrink"));
+    let mut sink = ctx.sink(SHRINK_TID, || format!("{property_name} · shrink"));
     let shrink_span = sink.open(SpanKind::Shrink);
     let original_len = failing.script.len();
     let mut budget = 200usize;
@@ -571,6 +580,7 @@ fn shrink(
                 property_name,
                 property,
                 options,
+                ctx.role,
                 make_executor,
                 &candidate,
             )?;
@@ -651,8 +661,8 @@ pub fn check_property(
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
 ) -> Result<PropertyReport, CheckError> {
-    let obs = ObsCtx::disabled();
-    check_property_inner(spec, check, property_name, options, make_executor, &obs)
+    let ctx = CheckCtx::unobserved(Role::Evaluator);
+    check_property_inner(spec, check, property_name, options, make_executor, &ctx)
         .map(|(report, _)| report)
 }
 
@@ -674,7 +684,8 @@ pub fn check_property_observed(
     make_executor: MakeExecutor<'_>,
     obs: &ObsOptions,
 ) -> Result<(PropertyReport, RunObs), CheckError> {
-    let ctx = ObsCtx {
+    let ctx = CheckCtx {
+        role: Role::Evaluator,
         opts: obs.clone(),
         origin: Instant::now(),
         pid: 1,
@@ -688,7 +699,7 @@ fn check_property_inner(
     property_name: &str,
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
-    obs: &ObsCtx,
+    ctx: &CheckCtx,
 ) -> Result<(PropertyReport, RunObs), CheckError> {
     let property = spec
         .property_thunk(property_name)
@@ -701,7 +712,7 @@ fn check_property_inner(
             &property,
             options,
             make_executor,
-            obs,
+            ctx,
         )?
     } else {
         // The multiplexed pipelined scheduler is worth engaging even with
@@ -716,7 +727,7 @@ fn check_property_inner(
                 &property,
                 options,
                 make_executor,
-                obs,
+                ctx,
             )?
         } else {
             run_tests_sequential(
@@ -726,7 +737,7 @@ fn check_property_inner(
                 &property,
                 options,
                 make_executor,
-                obs,
+                ctx,
             )?
         };
         // Merge per-run coverage in canonical index order (the union is
@@ -775,7 +786,7 @@ fn check_property_inner(
                         cx,
                         &mut timings,
                         &mut transport,
-                        obs,
+                        ctx,
                         &mut run_obs,
                     )?
                 } else {
@@ -786,7 +797,7 @@ fn check_property_inner(
             other => runs.push(other),
         }
     }
-    if obs.opts.metrics {
+    if ctx.opts.metrics {
         run_obs.metrics.counter("runs_total", runs.len() as u64);
         run_obs.metrics.counter("states_total", states_total as u64);
         run_obs
@@ -820,16 +831,24 @@ pub fn check_spec(
     options: &CheckOptions,
     make_executor: MakeExecutor<'_>,
 ) -> Result<Report, CheckError> {
+    check_spec_in(spec, options, make_executor, Role::Evaluator)
+}
+
+/// [`check_spec`] with every run's evaluator playing `role` (the
+/// reference checker, [`crate::oracle`], passes [`Role::Oracle`]).
+pub(crate) fn check_spec_in(
+    spec: &CompiledSpec,
+    options: &CheckOptions,
+    make_executor: MakeExecutor<'_>,
+    role: Role,
+) -> Result<Report, CheckError> {
+    let ctx = CheckCtx::unobserved(role);
     let mut report = Report::default();
     for check in &spec.checks {
         for property in &check.properties {
-            report.properties.push(check_property(
-                spec,
-                check,
-                property,
-                options,
-                make_executor,
-            )?);
+            let (prop, _) =
+                check_property_inner(spec, check, property, options, make_executor, &ctx)?;
+            report.properties.push(prop);
         }
     }
     Ok(report)
@@ -873,7 +892,8 @@ pub fn check_spec_observed(
     let mut pid = 1u32;
     for check in &spec.checks {
         for property in &check.properties {
-            let ctx = ObsCtx {
+            let ctx = CheckCtx {
+                role: Role::Evaluator,
                 opts: obs.clone(),
                 origin,
                 pid,

@@ -11,7 +11,7 @@
 
 use crate::options::CheckOptions;
 use crate::report::PhaseTimings;
-use crate::run::{ActionSource, Run, RunOutcome};
+use crate::run::{ActionSource, Role, Run, RunOutcome};
 use crate::runner::CheckError;
 use quickstrom_explore::RunCoverage;
 use quickstrom_obs::{AttrValue, MetricsRecorder, SpanKind, TraceSink, TrackLog};
@@ -28,19 +28,20 @@ pub(crate) struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Opens a session: a fresh `Run` against a fresh executor.
-    /// `property_name` keys the property's shared evaluation-automaton
-    /// table; `property` is the thunk the formula progression starts from.
+    /// Opens a session: a fresh `Run` in `role` against a fresh executor.
+    /// `property_name` keys the property's shared evaluation cache;
+    /// `property` is the thunk the formula progression starts from.
     pub(crate) fn new(
         spec: &'a CompiledSpec,
         check: &'a CheckDef,
         property_name: &str,
         property: &Thunk,
         options: &'a CheckOptions,
+        role: Role,
         executor: Box<dyn Executor>,
     ) -> Self {
         Session {
-            run: Run::new(spec, check, property_name, property, options),
+            run: Run::new(spec, check, property_name, property, options, role),
             executor,
             exec_time: std::time::Duration::ZERO,
         }

@@ -8,44 +8,31 @@
 //! classic automaton view of LTL, adapted here to QuickLTL's demand
 //! subscripts and four-valued verdicts.
 //!
-//! Two constructions are provided, for the two alphabets a host may have:
+//! The host's atoms *expand* (Specstrom: an atom is a host-language thunk
+//! that expands, per state, into a fresh formula over fresh thunks), so
+//! residual enumeration ahead of time is impossible — the alphabet is
+//! unbounded. The [`TransitionTable`] is therefore *memoized*: states are
+//! residual formulae over abstract atom ids, interned on first sight, and
+//! transitions are keyed by the observed expansion *shapes*. A miss runs
+//! the exact stepper pipeline ([`crate::unroll`] → [`crate::simplify`] →
+//! [`crate::classify`] → [`Guarded::step`](crate::Guarded::step)) on the
+//! abstract formula, so hits replay precisely what the stepper would have
+//! computed: verdict streams are bit-identical by construction, not by
+//! luck.
 //!
-//! * [`EagerAutomaton`] — for *propositional* atoms (an atom evaluates to
-//!   a plain truth value). The reachable residuals are enumerated ahead of
-//!   time by breadth-first exploration: each state's transition table is
-//!   keyed by the valuation bitset over its *live* atoms (the atoms not
-//!   guarded by a next operator), so observing a state is one bitset
-//!   build plus one indexed load. Enumeration is capped
-//!   ([`EagerCaps`]); formulae whose residual space exceeds the cap are
-//!   rejected at compile time and stay on the stepper.
-//! * [`TransitionTable`] — for *expanding* atoms (Specstrom: an atom is a
-//!   host-language thunk that expands, per state, into a fresh formula
-//!   over fresh thunks). Residual enumeration ahead of time is impossible
-//!   — the alphabet is unbounded — so the table is *memoized* instead:
-//!   states are residual formulae over abstract atom ids, interned on
-//!   first sight, and transitions are keyed by the observed expansion
-//!   *shapes*. A miss runs the exact stepper pipeline
-//!   ([`crate::unroll`] → [`crate::simplify`] → [`crate::classify`] →
-//!   [`Guarded::step`](crate::Guarded::step)) on the abstract formula, so
-//!   hits replay precisely what the stepper would have computed:
-//!   verdict streams are bit-identical by construction, not by luck.
-//!
-//! The abstraction underlying [`TransitionTable`] is sound because every
-//! phase of the progression pipeline is *equivariant* under renaming
-//! atoms: unrolling is structural, simplification compares subformulae
-//! only for equality, and presumptive/definitive readings never inspect
-//! an atom's payload. As long as the host keeps the id ↦ atom binding
-//! bijective (two distinct concrete atoms never share an id, one atom
-//! never holds two ids — see [`TransitionTable::step`]), the abstract
-//! transition computed once is valid for every concrete situation with
-//! the same shape.
+//! The abstraction is sound because every phase of the progression
+//! pipeline is *equivariant* under renaming atoms: unrolling is
+//! structural, simplification compares subformulae only for equality,
+//! and presumptive/definitive readings never inspect an atom's payload.
+//! As long as the host keeps the id ↦ atom binding bijective (two
+//! distinct concrete atoms never share an id, one atom never holds two
+//! ids — see [`TransitionTable::step`]), the abstract transition computed
+//! once is valid for every concrete situation with the same shape.
 
-use crate::progress::{classify, end_of_trace_default, simplify, unroll, Progress, StepReport};
+use crate::progress::{classify, end_of_trace_default, simplify, unroll, Progress};
 use crate::syntax::Formula;
-use crate::verdict::{Outcome, Verdict};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Visits every *live* atom of a formula — the atoms not guarded by a
@@ -73,340 +60,6 @@ pub fn for_each_live_atom<P>(f: &Formula<P>, visit: &mut impl FnMut(&P)) {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Eager propositional automata
-// ---------------------------------------------------------------------------
-
-/// Size caps for [`EagerAutomaton::compile`].
-///
-/// The residual space of a QuickLTL formula is finite (residuals are
-/// `∧`/`∨` combinations of subformula derivatives with decremented
-/// demands) but can be exponential in formula size and linear in demand
-/// subscripts; compilation refuses rather than thrash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EagerCaps {
-    /// Maximum number of distinct residual states to enumerate.
-    pub max_states: usize,
-    /// Maximum live atoms per state (each state stores `2^live` rows).
-    pub max_live_atoms: usize,
-}
-
-impl Default for EagerCaps {
-    fn default() -> Self {
-        EagerCaps {
-            max_states: 512,
-            max_live_atoms: 12,
-        }
-    }
-}
-
-/// Why [`EagerAutomaton::compile`] refused a formula.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EagerError {
-    /// More reachable residual states than [`EagerCaps::max_states`].
-    TooManyStates {
-        /// The configured cap that was exceeded.
-        cap: usize,
-    },
-    /// Some residual has more live atoms than [`EagerCaps::max_live_atoms`].
-    TooManyLiveAtoms {
-        /// The number of live atoms found in the offending residual.
-        found: usize,
-        /// The configured cap that was exceeded.
-        cap: usize,
-    },
-}
-
-impl fmt::Display for EagerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EagerError::TooManyStates { cap } => {
-                write!(f, "residual enumeration exceeded the {cap}-state cap")
-            }
-            EagerError::TooManyLiveAtoms { found, cap } => {
-                write!(f, "a residual has {found} live atoms (cap {cap})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EagerError {}
-
-/// One row of an eager state's transition table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EagerStep {
-    /// The valuation decides the formula outright.
-    Done(bool),
-    /// Evaluation moves to another residual state.
-    Goto {
-        /// Index of the successor state.
-        state: usize,
-        /// The presumptive reading at this point, if permitted.
-        presumptive: Option<bool>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct EagerState<P> {
-    /// The canonical (simplified) residual formula of this state.
-    formula: Formula<P>,
-    /// Live atoms in first-occurrence traversal order; bit `i` of a
-    /// valuation index is the truth value of `live[i]`.
-    live: Vec<P>,
-    /// Precomputed [`end_of_trace_default`] of `formula`.
-    forced_default: bool,
-    /// `2^live.len()` rows, indexed by valuation bitset.
-    table: Vec<EagerStep>,
-}
-
-/// A fully enumerated evaluation automaton over propositional atoms.
-///
-/// States are the reachable residual formulae in `simplify`-canonical
-/// form; each state's transitions are precomputed for every valuation of
-/// its live atoms. Stepping a trace ([`EagerRunner`]) is then one atom
-/// evaluation per live atom plus a table load — no tree algebra at all.
-///
-/// # Examples
-///
-/// ```
-/// use quickltl::automaton::{EagerAutomaton, EagerCaps};
-/// use quickltl::{parse, Outcome, Verdict};
-///
-/// let f = parse("G[2] F[1] p").unwrap();
-/// let auto = EagerAutomaton::compile(f, &EagerCaps::default()).unwrap();
-/// let mut run = auto.runner();
-/// for present in [true, false, true] {
-///     run.observe::<std::convert::Infallible>(&mut |_| Ok(present))
-///         .unwrap();
-/// }
-/// assert_eq!(run.outcome(), Outcome::Verdict(Verdict::PresumablyTrue));
-/// ```
-#[derive(Debug, Clone)]
-pub struct EagerAutomaton<P> {
-    states: Vec<EagerState<P>>,
-}
-
-impl<P> EagerAutomaton<P>
-where
-    P: Clone + Eq + Hash,
-{
-    /// Enumerates the reachable residual space of `formula` breadth-first
-    /// and precomputes every transition.
-    ///
-    /// The start state is `simplify(formula)`; successors are the
-    /// `simplify`-canonicalised [`Guarded::step`](crate::Guarded::step)
-    /// residues. Canonicalisation keeps the state space minimal and makes
-    /// every stored state a `simplify` fixpoint (pinned by the
-    /// `automaton_equivalence` proptest suite, alongside verdict
-    /// equivalence with the stepper).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EagerError`] when enumeration exceeds `caps`.
-    pub fn compile(formula: Formula<P>, caps: &EagerCaps) -> Result<Self, EagerError> {
-        let start = simplify(formula);
-        let mut index: HashMap<Formula<P>, usize> = HashMap::new();
-        let mut formulas: Vec<Formula<P>> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let intern = |f: Formula<P>,
-                      index: &mut HashMap<Formula<P>, usize>,
-                      formulas: &mut Vec<Formula<P>>,
-                      queue: &mut VecDeque<usize>|
-         -> Result<usize, EagerError> {
-            if let Some(&id) = index.get(&f) {
-                return Ok(id);
-            }
-            if formulas.len() >= caps.max_states {
-                return Err(EagerError::TooManyStates {
-                    cap: caps.max_states,
-                });
-            }
-            let id = formulas.len();
-            index.insert(f.clone(), id);
-            formulas.push(f);
-            queue.push_back(id);
-            Ok(id)
-        };
-        let start_id = intern(start, &mut index, &mut formulas, &mut queue)?;
-        debug_assert_eq!(start_id, 0);
-        // Ids are assigned in push order and the queue is FIFO, so states
-        // are expanded in id order and can be pushed positionally.
-        let mut states: Vec<EagerState<P>> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            debug_assert_eq!(id, states.len());
-            let formula = formulas[id].clone();
-            let mut live: Vec<P> = Vec::new();
-            for_each_live_atom(&formula, &mut |p| {
-                if !live.contains(p) {
-                    live.push(p.clone());
-                }
-            });
-            if live.len() > caps.max_live_atoms {
-                return Err(EagerError::TooManyLiveAtoms {
-                    found: live.len(),
-                    cap: caps.max_live_atoms,
-                });
-            }
-            let rows = 1usize << live.len();
-            let mut table = Vec::with_capacity(rows);
-            for valuation in 0..rows {
-                let unrolled = unroll::<P, std::convert::Infallible>(formula.clone(), &mut |p| {
-                    let bit = live.iter().position(|q| q == p).expect("atom is live");
-                    Ok(Formula::constant(valuation & (1 << bit) != 0))
-                })
-                .expect("constant expansion cannot fail");
-                let step = match classify(simplify(unrolled))
-                    .expect("unroll+simplify must yield constant or guarded form")
-                {
-                    Progress::Definitive(b) => EagerStep::Done(b),
-                    Progress::Guarded(g) => {
-                        let presumptive = g.presumptive();
-                        let next = simplify(g.step());
-                        let state = intern(next, &mut index, &mut formulas, &mut queue)?;
-                        EagerStep::Goto { state, presumptive }
-                    }
-                };
-                table.push(step);
-            }
-            let forced_default = end_of_trace_default(&formula);
-            states.push(EagerState {
-                formula,
-                live,
-                forced_default,
-                table,
-            });
-        }
-        Ok(EagerAutomaton { states })
-    }
-
-    /// The number of enumerated residual states.
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The canonical residual formula of every state, start state first.
-    pub fn state_formulas(&self) -> impl Iterator<Item = &Formula<P>> {
-        self.states.iter().map(|s| &s.formula)
-    }
-
-    /// Total transition rows across all states (the table's footprint).
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.states.iter().map(|s| s.table.len()).sum()
-    }
-
-    /// A fresh runner positioned at the start state.
-    #[must_use]
-    pub fn runner(&self) -> EagerRunner<'_, P> {
-        EagerRunner {
-            automaton: self,
-            pos: RunnerPos::At(0),
-            states_seen: 0,
-            last_report: None,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RunnerPos {
-    At(usize),
-    Done(bool),
-}
-
-/// Incremental trace evaluation against an [`EagerAutomaton`] — the
-/// table-driven counterpart of [`crate::Evaluator`], with the same
-/// observable API: per-state [`StepReport`]s, a running [`Outcome`] and
-/// the forced end-of-trace fallback.
-#[derive(Debug, Clone)]
-pub struct EagerRunner<'a, P> {
-    automaton: &'a EagerAutomaton<P>,
-    pos: RunnerPos,
-    states_seen: usize,
-    last_report: Option<StepReport>,
-}
-
-impl<P> EagerRunner<'_, P> {
-    /// Observes one state of the trace: evaluates the current state's
-    /// live atoms, builds the valuation bitset, and takes the
-    /// precomputed transition.
-    ///
-    /// After a definitive verdict the runner latches: further calls
-    /// return it unchanged without invoking `eval`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from `eval` (the automaton position is left
-    /// unchanged, so the caller may retry).
-    pub fn observe<E>(
-        &mut self,
-        eval: &mut impl FnMut(&P) -> Result<bool, E>,
-    ) -> Result<StepReport, E> {
-        let id = match self.pos {
-            RunnerPos::Done(b) => return Ok(StepReport::Definitive(b)),
-            RunnerPos::At(id) => id,
-        };
-        let state = &self.automaton.states[id];
-        let mut valuation = 0usize;
-        for (bit, atom) in state.live.iter().enumerate() {
-            if eval(atom)? {
-                valuation |= 1 << bit;
-            }
-        }
-        self.states_seen += 1;
-        let report = match state.table[valuation] {
-            EagerStep::Done(b) => {
-                self.pos = RunnerPos::Done(b);
-                StepReport::Definitive(b)
-            }
-            EagerStep::Goto { state, presumptive } => {
-                self.pos = RunnerPos::At(state);
-                StepReport::Continue { presumptive }
-            }
-        };
-        self.last_report = Some(report);
-        Ok(report)
-    }
-
-    /// The outcome of ending the trace after the states observed so far
-    /// (mirrors [`crate::Evaluator::outcome`]).
-    #[must_use]
-    pub fn outcome(&self) -> Outcome {
-        match self.last_report {
-            Some(report) => report.outcome(),
-            None => Outcome::MoreStatesNeeded,
-        }
-    }
-
-    /// The verdict when *forced* to stop now (mirrors
-    /// [`crate::Evaluator::forced_outcome`]): the regular outcome when
-    /// available, otherwise the precomputed [`end_of_trace_default`] of
-    /// the current residual state.
-    #[must_use]
-    pub fn forced_outcome(&self) -> Outcome {
-        match self.outcome() {
-            Outcome::Verdict(v) => Outcome::Verdict(v),
-            Outcome::MoreStatesNeeded => match (self.pos, self.states_seen) {
-                (_, 0) => Outcome::MoreStatesNeeded,
-                (RunnerPos::At(id), _) => Outcome::Verdict(Verdict::presumably(
-                    self.automaton.states[id].forced_default,
-                )),
-                (RunnerPos::Done(b), _) => Outcome::Verdict(Verdict::definitely(b)),
-            },
-        }
-    }
-
-    /// The number of states observed so far.
-    #[must_use]
-    pub fn states_seen(&self) -> usize {
-        self.states_seen
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Memoized transition tables for expanding atoms
-// ---------------------------------------------------------------------------
 
 /// Abstract atom identifier inside a [`TransitionTable`].
 ///
@@ -716,68 +369,7 @@ pub fn canonicalize(f: Formula<AtomId>) -> (Formula<AtomId>, Vec<AtomId>) {
 mod tests {
     use super::*;
     use crate::parse;
-    use crate::progress::Evaluator;
-
-    type F = Formula<char>;
-
-    fn eval_in(state: &str) -> impl FnMut(&char) -> Result<bool, std::convert::Infallible> + '_ {
-        move |p| Ok(state.contains(*p))
-    }
-
-    #[test]
-    fn eager_matches_stepper_on_alternation() {
-        let f = parse("G[6] F[2] p").unwrap().map_atoms(&mut |_| 'p');
-        let auto = EagerAutomaton::compile(f.clone(), &EagerCaps::default()).unwrap();
-        let mut runner = auto.runner();
-        let mut stepper = Evaluator::new(f);
-        for state in ["p", "", "p", "", "p", "", "p"] {
-            let a = runner.observe(&mut eval_in(state)).unwrap();
-            let s = stepper.observe(&mut eval_in(state)).unwrap();
-            assert_eq!(a.outcome(), s.outcome());
-        }
-        assert_eq!(runner.outcome(), stepper.outcome());
-        assert_eq!(runner.forced_outcome(), stepper.forced_outcome());
-    }
-
-    #[test]
-    fn eager_state_cap_is_respected() {
-        let f = parse("G[50] F[50] p").unwrap().map_atoms(&mut |_| 'p');
-        let err = EagerAutomaton::compile(
-            f,
-            &EagerCaps {
-                max_states: 4,
-                max_live_atoms: 12,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, EagerError::TooManyStates { cap: 4 });
-    }
-
-    #[test]
-    fn eager_live_atom_cap_is_respected() {
-        let mut f: F = Formula::atom('a');
-        for p in ['b', 'c', 'd'] {
-            f = f.and(Formula::atom(p));
-        }
-        let err = EagerAutomaton::compile(
-            f,
-            &EagerCaps {
-                max_states: 64,
-                max_live_atoms: 2,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, EagerError::TooManyLiveAtoms { found: 4, cap: 2 });
-    }
-
-    #[test]
-    fn eager_constant_formula_compiles_to_single_latch() {
-        let auto = EagerAutomaton::compile(F::Top, &EagerCaps::default()).unwrap();
-        assert_eq!(auto.state_count(), 1);
-        let mut runner = auto.runner();
-        let report = runner.observe(&mut eval_in("")).unwrap();
-        assert_eq!(report, StepReport::Definitive(true));
-    }
+    use crate::progress::{Evaluator, StepReport};
 
     /// The memoized table, driven with constant expansions, agrees with
     /// the stepper — the same bit-identity the checker relies on, in

@@ -53,9 +53,10 @@
 //! * [`syntax`](mod@syntax) — [`Formula`], [`Demand`], combinators, printing.
 //! * [`progress`](mod@progress) — unroll / simplify / step, [`Evaluator`],
 //!   [`check_trace`].
-//! * [`automaton`](mod@automaton) — table-driven evaluation:
-//!   [`EagerAutomaton`] (precomputed propositional tables) and
-//!   [`TransitionTable`] (memoized tables for expanding atoms).
+//! * [`automaton`](mod@automaton) — table-driven evaluation: the
+//!   [`TransitionTable`], memoized per residual state and observed
+//!   expansion shape, which the checker steps in production (falling
+//!   back to the [`Evaluator`] past its state cap).
 //! * [`verdict`](mod@verdict) — [`Verdict`] and [`Outcome`].
 //! * [`finite`](mod@finite) — the Pnueli finite-LTL and RV-LTL baselines.
 //! * [`infinite`](mod@infinite) — reference semantics on lasso traces.
@@ -73,10 +74,7 @@ pub mod progress;
 pub mod syntax;
 pub mod verdict;
 
-pub use automaton::{
-    AtomId, EagerAutomaton, EagerCaps, EagerError, EagerRunner, EagerStep, Observation, StateId,
-    TableError, TableStep, TransitionTable,
-};
+pub use automaton::{AtomId, Observation, StateId, TableError, TableStep, TransitionTable};
 pub use parse::{parse, ParseError};
 pub use progress::{
     check_trace, classify, simplify, simplify_with, unroll, Evaluator, Guarded, NotGuardedError,

@@ -1,27 +1,17 @@
-//! Differential semantics harness for the evaluation automata
-//! (`quickltl::automaton`), pinning them to the formula-progression
-//! stepper and to per-prefix unroll verdicts.
-//!
-//! Three families of properties:
-//!
-//! 1. **Verdict equivalence** — on random formulae and random finite
-//!    traces, the [`EagerAutomaton`] emits exactly the stepper's
-//!    [`StepReport`] at every state, the same running outcome as a fresh
-//!    per-prefix [`check_trace`] unroll, and the same forced end-of-trace
-//!    fallback. Likewise the memoized [`TransitionTable`], driven with
-//!    constant observations.
-//! 2. **Enumeration termination** — compiling any formula terminates with
-//!    either an automaton of at most `max_states` states or a clean
-//!    [`EagerError`]; it never loops or overshoots the cap.
-//! 3. **Canonical-form invariants** — every enumerated residual state is a
-//!    `simplify` fixpoint, so the state space the automaton interns is
-//!    exactly the simplifier's normal-form space.
+//! Differential semantics harness for the evaluation automaton
+//! (`quickltl::automaton`), pinning the memoized [`TransitionTable`] to
+//! the formula-progression stepper and to per-prefix unroll verdicts: on
+//! random formulae and random finite traces, driven with constant
+//! observations, the table emits exactly the stepper's [`StepReport`] at
+//! every state, the same running outcome as a fresh per-prefix
+//! [`check_trace`] unroll, and the same forced end-of-trace fallback —
+//! and it never interns more states than its cap.
 
 use proptest::prelude::*;
-use quickltl::automaton::{canonicalize, EagerAutomaton, EagerCaps, EagerError};
+use quickltl::automaton::canonicalize;
 use quickltl::{
-    check_trace, simplify, AtomId, Evaluator, Formula, Observation, Outcome, StepReport,
-    TableError, TableStep, TransitionTable,
+    check_trace, AtomId, Evaluator, Formula, Observation, Outcome, StepReport, TableError,
+    TableStep, TransitionTable,
 };
 
 type F = Formula<u8>;
@@ -70,110 +60,14 @@ fn trace_strategy() -> impl Strategy<Value = Vec<State>> {
     prop::collection::vec(any::<u8>(), 1..10)
 }
 
-/// Caps generous enough that most generated formulae compile; the
-/// equivalence properties silently skip the (terminating, error-reporting)
-/// remainder, which the termination property covers.
-const CAPS: EagerCaps = EagerCaps {
-    max_states: 4096,
-    max_live_atoms: 8,
-};
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The eager automaton replays the stepper bit for bit: the same
-    /// `StepReport` at every state of every random trace, the same
-    /// running outcome as a fresh per-prefix unroll (`check_trace`), and
-    /// the same forced end-of-trace fallback at every stop point.
-    #[test]
-    fn eager_automaton_matches_stepper_and_prefix_unrolls(
-        f in formula(3, true, 3),
-        trace in trace_strategy(),
-    ) {
-        if let Ok(auto) = EagerAutomaton::compile(f.clone(), &CAPS) {
-            let mut runner = auto.runner();
-            let mut stepper = Evaluator::new(f.clone());
-            prop_assert_eq!(runner.forced_outcome(), stepper.forced_outcome());
-            for (k, s) in trace.iter().enumerate() {
-                let a = runner
-                    .observe(&mut |p| Ok::<_, std::convert::Infallible>(eval(p, s)))
-                    .unwrap();
-                let e = stepper
-                    .observe(&mut |p| Ok::<_, std::convert::Infallible>(eval(p, s)))
-                    .unwrap();
-                prop_assert_eq!(a, e, "report diverged at state {} of {:?}", k, trace);
-                // The running outcome equals a from-scratch unroll of the
-                // prefix observed so far.
-                let oracle = check_trace(f.clone(), &trace[..=k], &mut |p, s| {
-                    Ok::<_, std::convert::Infallible>(eval(p, s))
-                })
-                .unwrap();
-                prop_assert_eq!(
-                    runner.outcome(),
-                    oracle,
-                    "outcome != prefix unroll after {} states of {:?} for {}",
-                    k + 1,
-                    trace,
-                    f
-                );
-                prop_assert_eq!(
-                    runner.forced_outcome(),
-                    stepper.forced_outcome(),
-                    "forced outcome diverged after {} states of {:?} for {}",
-                    k + 1,
-                    trace,
-                    f
-                );
-            }
-        }
-    }
-
-    /// Residual enumeration always terminates: compilation either returns
-    /// an automaton within the state cap or reports a clean cap error —
-    /// and with only four distinct atoms in play, the live-atom cap of 8
-    /// is unreachable.
-    #[test]
-    fn residual_enumeration_terminates_within_cap(f in formula(3, true, 3)) {
-        match EagerAutomaton::compile(f, &CAPS) {
-            Ok(auto) => {
-                prop_assert!(auto.state_count() >= 1);
-                prop_assert!(
-                    auto.state_count() <= CAPS.max_states,
-                    "{} states exceeds the {} cap",
-                    auto.state_count(),
-                    CAPS.max_states
-                );
-            }
-            Err(EagerError::TooManyStates { cap }) => {
-                prop_assert_eq!(cap, CAPS.max_states);
-            }
-            Err(e @ EagerError::TooManyLiveAtoms { .. }) => {
-                prop_assert!(false, "only 4 atoms exist, yet: {}", e);
-            }
-        }
-    }
-
-    /// Every enumerated residual state is a `simplify` fixpoint: the
-    /// automaton interns exactly the simplifier's normal forms, so two
-    /// runs reaching semantically re-simplifiable residuals share states.
-    #[test]
-    fn enumerated_states_are_simplify_fixpoints(f in formula(3, true, 3)) {
-        if let Ok(auto) = EagerAutomaton::compile(f, &CAPS) {
-            for state in auto.state_formulas() {
-                prop_assert_eq!(
-                    &simplify(state.clone()),
-                    state,
-                    "state is not a simplify fixpoint: {}",
-                    state
-                );
-            }
-        }
-    }
-
     /// The memoized transition table, driven with constant observations
     /// and explicit id ↦ atom rebinding — exactly the checker's protocol,
-    /// minus thunk expansion — replays the stepper bit for bit, and never
-    /// interns more states than its cap.
+    /// minus thunk expansion — replays the stepper bit for bit, agrees
+    /// with a from-scratch unroll of every prefix, and never interns more
+    /// states than its cap.
     #[test]
     fn transition_table_matches_stepper(
         f in formula(3, true, 3),
@@ -200,7 +94,7 @@ proptest! {
         let mut stepper = Evaluator::new(f.clone());
         let mut done: Option<bool> = None;
         let mut overflowed = false;
-        for s in &trace {
+        for (k, s) in trace.iter().enumerate() {
             let e = stepper
                 .observe(&mut |p| Ok::<_, std::convert::Infallible>(eval(p, s)))
                 .unwrap();
@@ -239,6 +133,20 @@ proptest! {
                 }
             };
             prop_assert_eq!(a, e, "table diverged from stepper on {:?} for {}", trace, f);
+            // The running outcome equals a from-scratch unroll of the
+            // prefix observed so far.
+            let oracle = check_trace(f.clone(), &trace[..=k], &mut |p, s| {
+                Ok::<_, std::convert::Infallible>(eval(p, s))
+            })
+            .unwrap();
+            prop_assert_eq!(
+                a.outcome(),
+                oracle,
+                "outcome != prefix unroll after {} states of {:?} for {}",
+                k + 1,
+                trace,
+                f
+            );
             // Forced stops agree at every intermediate point too,
             // mirroring `Evaluator::forced_outcome`: the last report's
             // regular outcome when it yields one, otherwise the state's

@@ -301,18 +301,6 @@ pub struct AtomFootprint {
 }
 
 impl AtomFootprint {
-    /// Can the atom read the given selector?
-    #[must_use]
-    pub fn touches(&self, selector: &Selector) -> bool {
-        self.selectors.contains_key(selector)
-    }
-
-    /// Can the atom read any of the given selectors?
-    #[must_use]
-    pub fn touches_any(&self, changed: &[Selector]) -> bool {
-        changed.iter().any(|sel| self.touches(sel))
-    }
-
     /// Joins another footprint into this one.
     pub fn merge(&mut self, other: &AtomFootprint) {
         self.reads_happened |= other.reads_happened;

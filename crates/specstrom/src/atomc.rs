@@ -15,7 +15,8 @@
 //!    equal whenever they bind equal values. The checker pairs that key
 //!    with a projection hash of (b) and looks the expansion up in a
 //!    property-level [`AtomMemo`] shared across runs, workers, and shrink
-//!    replays (the same sharing shape as `SpecAutomata`).
+//!    replays (one of the three caches a
+//!    [`PropertyCache`](crate::spec::PropertyCache) owns).
 //! 2. **Compiled evaluators.** [`compile_atom`] lowers the common atom
 //!    shapes — selector projections, comparisons, first-order builtin
 //!    calls — into a closure-free [`CompiledExpr`] with selectors and
@@ -33,7 +34,7 @@
 //! by first insertion, bounded capacity) only ever causes re-expansion,
 //! never a wrong value.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use quickltl::Formula;
@@ -884,35 +885,6 @@ impl AtomMemo {
     }
 }
 
-/// The per-specification registry of shared atom memos, keyed by
-/// `(property, default demand, capacity)` — the same sharing shape as the
-/// evaluation-automata registry: every run, worker, and shrink replay of
-/// one property draws from (and feeds) the same memo.
-#[derive(Debug, Default)]
-pub struct AtomMemos {
-    memos: Mutex<BTreeMap<(String, u32, usize), Arc<AtomMemo>>>,
-}
-
-impl AtomMemos {
-    /// The shared memo for one property under one default demand and
-    /// capacity, created on first request.
-    #[must_use]
-    pub fn memo(&self, property: &str, default_demand: u32, capacity: usize) -> Arc<AtomMemo> {
-        let mut memos = self.memos.lock().expect("atom memo registry lock");
-        Arc::clone(
-            memos
-                .entry((property.to_owned(), default_demand, capacity))
-                .or_insert_with(|| Arc::new(AtomMemo::new(capacity))),
-        )
-    }
-
-    /// How many distinct memos have been created.
-    #[must_use]
-    pub fn memo_count(&self) -> usize {
-        self.memos.lock().expect("atom memo registry lock").len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1121,18 +1093,5 @@ mod tests {
         assert!(memo.lookup((1, 1)).is_none(), "(1,1) was first in");
         assert!(memo.lookup((2, 2)).is_some());
         assert!(memo.lookup((3, 3)).is_some());
-    }
-
-    #[test]
-    fn memo_registry_shares_by_property_demand_and_capacity() {
-        let memos = AtomMemos::default();
-        let a = memos.memo("safety", 100, 1024);
-        let b = memos.memo("safety", 100, 1024);
-        let c = memos.memo("safety", 50, 1024);
-        let d = memos.memo("liveness", 100, 1024);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!Arc::ptr_eq(&a, &d));
-        assert_eq!(memos.memo_count(), 3);
     }
 }

@@ -84,15 +84,14 @@ pub use analysis::{
     lint, AtomFootprint, AtomInfo, Diagnostic, DiagnosticCode, PropertyAnalysis, SelectorUse,
     SpecAnalysis,
 };
-pub use atomc::{
-    compile_atom, AtomKeyer, AtomMemo, AtomMemos, CompiledAtom, CompiledExpr, MemoEntry,
-};
+pub use atomc::{compile_atom, AtomKeyer, AtomMemo, CompiledAtom, CompiledExpr, MemoEntry};
 pub use compile::{compile_expr, initial_env, Ir};
 pub use error::{EvalError, SpecError};
 pub use eval::{element_record, eval_guard, expand_thunk, to_formula, EvalCtx};
 pub use parser::{parse_expr, parse_spec};
 pub use pretty::{pretty_expr, pretty_item, pretty_spec};
 pub use spec::{
-    compile, load, CheckDef, CompiledSpec, SpecAutomata, StepEntry, StepMemo, StepMemos, StepNext,
+    compile, load, CheckDef, CompiledSpec, PropertyCache, PropertyCaches, StepEntry, StepMemo,
+    StepNext,
 };
 pub use value::{ActionValue, Binding, Builtin, Env, SlotParam, Thunk, Value};

@@ -16,6 +16,7 @@
 
 use crate::analysis;
 use crate::ast::{Item, Spec};
+use crate::atomc::AtomMemo;
 use crate::compile::{self, Resolver};
 use crate::error::{EvalError, SpecError};
 use crate::eval::{self, EvalCtx};
@@ -64,104 +65,97 @@ pub struct CompiledSpec {
     /// temporal skeletons, per-selector field masks, and skeleton-level
     /// diagnostics. See [`analysis::analyze_compiled`].
     pub analysis: analysis::SpecAnalysis,
-    /// Lazily built evaluation automata for the spec's properties,
-    /// shared across every run (and worker) that checks the same
-    /// property. See [`SpecAutomata`].
-    pub automata: SpecAutomata,
-    /// Value-keyed atom expansion memos, shared across every run (and
-    /// worker, and shrink replay) that checks the same property. See
-    /// [`crate::atomc::AtomMemos`].
-    pub atom_memos: crate::atomc::AtomMemos,
-    /// Whole-transition step memos keyed by (automaton state, bindings
-    /// signature, state-value signature), shared like the automata and
-    /// atom memos. See [`StepMemos`].
-    pub step_memos: StepMemos,
+    /// The per-property evaluation caches (transition table, atom memo
+    /// and step memo), created on a property's first check and shared by
+    /// every run, worker and shrink replay that checks it. See
+    /// [`PropertyCaches`].
+    pub caches: PropertyCaches,
 }
 
-/// The per-spec registry of memoized LTL evaluation automata
-/// ([`quickltl::TransitionTable`]).
+/// The per-spec registry of [`PropertyCache`]s, filled lazily: a
+/// property's cache is created on its first check, never at load.
 ///
-/// One table is kept per `(property, default demand, state cap)` triple:
-/// the demand changes the formulae `~` thunks expand to, and the cap is
-/// part of the table's fallback contract, so neither may share states
-/// with the other. Tables start from the canonical one-atom state
-/// `Atom(0)` — the whole property as a single expanding atom — and grow
-/// as runs encounter new residual shapes; because transitions are pure
-/// functions of (state, observation shapes), sharing across concurrent
+/// One cache is kept per `(property, default demand, state cap, atom memo
+/// capacity)`: the demand changes the formulae `~` thunks expand to, and
+/// the cap and capacity bound what the caches may hold, so none of them
+/// may share entries with another. Because every cached transition and
+/// expansion is a pure function of its key, sharing across concurrent
 /// runs never changes a verdict, only who pays for a miss.
 #[derive(Debug, Default)]
-pub struct SpecAutomata {
-    tables: Mutex<BTreeMap<TableKey, Arc<Mutex<TransitionTable>>>>,
+pub struct PropertyCaches {
+    caches: Mutex<BTreeMap<CacheKey, Arc<PropertyCache>>>,
 }
 
-/// The registry key: `(property name, default demand, state cap)`.
-type TableKey = (String, u32, usize);
+/// The registry key: `(property name, default demand, state cap, atom
+/// memo capacity)`.
+type CacheKey = (String, u32, usize, usize);
 
-impl SpecAutomata {
-    /// The shared transition table for a property at a given default
-    /// demand and state cap, creating it on first request.
+impl PropertyCaches {
+    /// The shared cache for a property at a given default demand, state
+    /// cap and atom memo capacity, creating it on first request.
+    ///
+    /// The step memo's state-value signature footprint is the union of
+    /// the property's atom footprints from `analysis`; if the property
+    /// was not analysed (no skeleton), the footprint degrades to every
+    /// spec-observable selector with all fields plus the event list —
+    /// still sound, merely a coarser signature.
     #[must_use]
-    pub fn table(
+    pub fn cache(
         &self,
         property: &str,
         default_demand: u32,
         state_cap: usize,
-    ) -> Arc<Mutex<TransitionTable>> {
-        let mut tables = self.tables.lock().expect("automata registry lock");
+        atom_memo_capacity: usize,
+        analysis: &analysis::SpecAnalysis,
+    ) -> Arc<PropertyCache> {
+        let mut caches = self.caches.lock().expect("property cache registry lock");
         Arc::clone(
-            tables
-                .entry((property.to_owned(), default_demand, state_cap))
+            caches
+                .entry((
+                    property.to_owned(),
+                    default_demand,
+                    state_cap,
+                    atom_memo_capacity,
+                ))
                 .or_insert_with(|| {
-                    Arc::new(Mutex::new(TransitionTable::new(
-                        Formula::Atom(0),
-                        state_cap,
-                    )))
+                    Arc::new(PropertyCache {
+                        table: Mutex::new(TransitionTable::new(Formula::Atom(0), state_cap)),
+                        atoms: AtomMemo::new(atom_memo_capacity),
+                        steps: StepMemo::new(property_footprint(property, analysis)),
+                    })
                 }),
         )
     }
 
-    /// The number of distinct tables built so far.
+    /// The number of distinct caches created so far.
     #[must_use]
-    pub fn table_count(&self) -> usize {
-        self.tables.lock().expect("automata registry lock").len()
+    pub fn len(&self) -> usize {
+        self.caches
+            .lock()
+            .expect("property cache registry lock")
+            .len()
+    }
+
+    /// Whether no property has been checked yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
-/// The per-spec registry of whole-transition step memos, one per
-/// `(property, default demand, state cap)` triple — the same key that
-/// selects the [`TransitionTable`] whose [`StateId`]s the memo entries
-/// refer to.
-///
-/// See [`StepMemo`] for the cache itself and its soundness contract.
-#[derive(Debug, Default)]
-pub struct StepMemos {
-    memos: Mutex<BTreeMap<TableKey, Arc<StepMemo>>>,
-}
-
-impl StepMemos {
-    /// The shared step memo for a property at a given default demand and
-    /// state cap, creating it on first request.
-    ///
-    /// The memo's state-value signature footprint is the union of the
-    /// property's atom footprints from `analysis`; if the property was
-    /// not analysed (no skeleton), the footprint degrades to every
-    /// spec-observable selector with all fields plus the event list —
-    /// still sound, merely a coarser signature.
-    #[must_use]
-    pub fn memo(
-        &self,
-        property: &str,
-        default_demand: u32,
-        state_cap: usize,
-        analysis: &analysis::SpecAnalysis,
-    ) -> Arc<StepMemo> {
-        let mut memos = self.memos.lock().expect("step memo registry lock");
-        Arc::clone(
-            memos
-                .entry((property.to_owned(), default_demand, state_cap))
-                .or_insert_with(|| Arc::new(StepMemo::new(property_footprint(property, analysis)))),
-        )
-    }
+/// Everything the runs of one property share: its evaluation automaton,
+/// its atom expansion memo, and the step memo whose entries name the
+/// automaton's [`StateId`]s.
+#[derive(Debug)]
+pub struct PropertyCache {
+    /// The memoized evaluation automaton. It starts from the canonical
+    /// one-atom state `Atom(0)` — the whole property as a single
+    /// expanding atom — and grows as runs encounter new residual shapes.
+    pub table: Mutex<TransitionTable>,
+    /// The value-keyed atom expansion memo.
+    pub atoms: AtomMemo,
+    /// The whole-transition step memo over `table`'s states.
+    pub steps: StepMemo,
 }
 
 /// The union footprint of a property's atoms (what its evaluation can
@@ -503,9 +497,7 @@ pub fn compile(spec: &Spec) -> Result<CompiledSpec, SpecError> {
         checks,
         dependencies,
         analysis: analysis::SpecAnalysis::default(),
-        automata: SpecAutomata::default(),
-        atom_memos: crate::atomc::AtomMemos::default(),
-        step_memos: StepMemos::default(),
+        caches: PropertyCaches::default(),
     };
     compiled.analysis = analysis::analyze_compiled(&compiled);
     Ok(compiled)
@@ -627,6 +619,32 @@ mod tests {
     fn builtin_noop_in_with_list() {
         let compiled = load("let ~p = true; check p with noop!;").unwrap();
         assert_eq!(compiled.checks[0].actions, vec!["noop!"]);
+    }
+
+    /// One cache per `(property, demand, state cap, memo capacity)`,
+    /// created on first request and never at load.
+    #[test]
+    fn property_caches_share_by_property_demand_cap_and_capacity() {
+        let compiled = load(EGG_TIMER).unwrap();
+        assert!(compiled.caches.is_empty(), "load creates no cache");
+        let cache = |property: &str, demand: u32, cap: usize, capacity: usize| {
+            compiled
+                .caches
+                .cache(property, demand, cap, capacity, &compiled.analysis)
+        };
+        let a = cache("liveness", 100, 4096, 1024);
+        assert!(Arc::ptr_eq(&a, &cache("liveness", 100, 4096, 1024)));
+        for other in [
+            cache("liveness", 50, 4096, 1024),
+            cache("liveness", 100, 2, 1024),
+            cache("liveness", 100, 4096, 2),
+            cache("stopped", 100, 4096, 1024),
+        ] {
+            assert!(!Arc::ptr_eq(&a, &other));
+        }
+        assert_eq!(compiled.caches.len(), 5);
+        assert_eq!(a.table.lock().unwrap().state_cap(), 4096);
+        assert_eq!(a.atoms.capacity(), 1024);
     }
 
     /// The checker's parallel runtime shares one compiled spec (and the

@@ -93,8 +93,8 @@ pub mod prelude {
     pub use crate::specs;
     pub use quickltl::{Formula, Outcome, Verdict};
     pub use quickstrom_checker::{
-        check_property, check_spec, check_spec_observed, AtomCacheMode, CheckOptions, EvalMode,
-        FingerprintMode, ObsArtifacts, PipelineMode, Report, SelectionStrategy,
+        check_property, check_spec, check_spec_observed, CheckOptions, FingerprintMode,
+        ObsArtifacts, PipelineMode, Report, SelectionStrategy,
     };
     pub use quickstrom_executor::{LatencyExecutor, WebExecutor, WebExecutorConfig};
     pub use quickstrom_explore::{CoverageStats, StateFingerprint};
