@@ -14,7 +14,7 @@
 //!   up in the value-keyed memo. No IR runs at all; this is what repeat
 //!   states cost.
 //!
-//! The three are pinned semantically by the `differential` suite; this
+//! The three are pinned semantically by `differential_atom_memo`; this
 //! benchmark quantifies the gaps the DESIGN.md *Atom expansion
 //! memoization* section cites.
 

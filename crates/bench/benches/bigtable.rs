@@ -5,7 +5,7 @@
 //! them, while each action touches at most a couple of elements — the
 //! regime the delta protocol and the dirty-tracked render cache were
 //! built for. Both modes produce bit-identical reports (pinned by
-//! `crates/bench/tests/differential.rs`); this bench measures the
+//! `crates/bench/tests/differential_delta.rs`); this bench measures the
 //! wall-clock gap, and TodoMVC is included as the small-DOM control.
 
 use criterion::{criterion_group, criterion_main, Criterion};

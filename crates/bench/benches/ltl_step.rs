@@ -6,11 +6,11 @@
 //! classify → step); the memoized [`TransitionTable`] — what the checker
 //! actually uses — pays the stepper price on a miss and a hash lookup on
 //! a hit. The two are pinned semantically by `automaton_equivalence.rs`
-//! and the `differential` suite; this benchmark quantifies the gap. The
-//! `ltl_step_check_*` pair measures the difference end to end through a
-//! real checking session: the production checker against the reference
-//! checker (`quickstrom_checker::oracle`), which steps the plain stepper
-//! and expands every atom afresh.
+//! and the `differential_automaton` suite; this benchmark quantifies the
+//! gap. The `ltl_step_check_*` pair measures the difference end to end
+//! through a real checking session: the production checker against the
+//! reference checker (`quickstrom_checker::oracle`), which steps the
+//! plain stepper and expands every atom afresh.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quickstrom::prelude::*;

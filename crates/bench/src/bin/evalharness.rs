@@ -41,9 +41,10 @@
 //! `--pipeline on|off` selects the session runtime (the two-stage
 //! pipelined engine — the default — or the sequential engine; see
 //! DESIGN.md, *Pipelined runtime*). Verdicts, state counts and atom
-//! counters are identical in both modes (pinned by the `differential`
-//! suite); the timing columns change — and under pipelining
-//! `executor_s`/`eval_s` overlap, so they no longer sum to `wall_s`.
+//! counters are identical in both modes (pinned by
+//! `differential_pipeline`); the timing columns change — and under
+//! pipelining `executor_s`/`eval_s` overlap, so they no longer sum to
+//! `wall_s`.
 //! `--pipeline-depth N` bounds the speculation window (states the
 //! executor may run ahead of the evaluator); `--multiplex M` lets every
 //! worker interleave M in-flight sessions to hide executor latency.

@@ -39,7 +39,8 @@ pub enum PipelineMode {
     /// lagging by up to [`CheckOptions::pipeline_depth`] states. A
     /// definitive verdict reached mid-pipeline cancels the driver and
     /// truncates the speculative tail, so reports stay bit-identical to
-    /// [`PipelineMode::Off`] (pinned by the `differential` suite).
+    /// [`PipelineMode::Off`] (pinned by the `differential_pipeline`
+    /// suite).
     #[default]
     On,
     /// The sequential engine: perform → ingest → LTL-step before the next

@@ -7,7 +7,7 @@
 //! sequential engine, in run-index order, and progresses the formula with
 //! the plain stepper ([`quickltl::Evaluator`]), expanding every atom
 //! afresh at every state — QuickLTL progression exactly as §2.2 states
-//! it. The bench crate's `differential` suite holds every production
+//! it. The bench crate's `differential_*` suites hold every production
 //! configuration to this oracle: their [`Report`]s must be equal.
 //!
 //! It is **not** part of the supported checking pipeline: no option,

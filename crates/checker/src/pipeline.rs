@@ -35,9 +35,9 @@
 //! evaluator, whose replayed `Run` holds the exact canonical history,
 //! concludes the run at the first decision point where the condition
 //! holds. The hard action cap bounds that speculation absolutely.
-//! The `differential` suite pins Report equality against the reference
-//! checker (sequential, plain stepper) across all bundled specs, the
-//! registry, jobs, snapshot modes and pipeline depths.
+//! The `differential_pipeline` suite pins Report equality against the
+//! reference checker (sequential, plain stepper) across all bundled
+//! specs, the registry, jobs, snapshot modes and pipeline depths.
 //!
 //! ## Multiplexing
 //!

@@ -6,7 +6,7 @@
 //! ships `diff(base, next)` and the checker applies it onto its copy of
 //! `base`, so the round-trip must reproduce `next` *exactly* — any slack
 //! here would surface as delta-mode traces diverging from full-mode
-//! traces (which `crates/bench/tests/differential.rs` pins at the
+//! traces (which `crates/bench/tests/differential_delta.rs` pins at the
 //! checker level).
 
 use proptest::prelude::*;
