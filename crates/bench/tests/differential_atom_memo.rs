@@ -1,294 +1,92 @@
-//! The atom-memo differential suite: `value` ≡ `footprint` ≡ `off`.
+//! The value-keyed atom memo against the oracle, which expands every atom
+//! afresh.
 //!
-//! The value-keyed expansion memo (`CheckOptions::atom_cache`, see
-//! DESIGN.md's *Atom expansion memoization*) serves a cached expansion
-//! whenever an atom's footprint-restricted projection of the current
-//! state hashes to a previously seen key. Like atom masking before it,
-//! the optimisation must be *observably invisible*: verdicts, runs,
-//! recorded traces and shrunk counterexamples are bit-identical across
-//! all three cache modes, on every workload. [`Report`]'s `PartialEq`
-//! compares everything except wall-clock, transport and coverage
-//! accounting, which is precisely the invariant stated here.
-//!
-//! Coverage mirrors the masking suite: every bundled specification
-//! against its real application, a faulty TodoMVC entry with the
-//! shrinker enabled (memoized replay drives shrinking too), the whole
-//! 43-entry registry crossed over `jobs` 1/2 × delta/full snapshots ×
-//! automaton/stepper evaluation, a tiny-capacity run that forces FIFO
-//! eviction, and a property-based test of the keying soundness
-//! condition: states that agree on an atom's footprint projection yield
-//! structurally identical expansions.
-//!
-//! These tests run in debug builds, so every memo hit additionally goes
-//! through the collision-verification path (`cfg!(debug_assertions)` in
-//! the checker's expand closure): the served entry is re-derived and
-//! compared structurally before being used.
+//! The memo serves a cached expansion whenever an atom's footprint
+//! projection of the current state hashes to a key it has seen. It is
+//! shared per property, so parallel workers race its lookups and inserts
+//! and later checks start from a warm memo. This suite holds the jobs-2,
+//! delta-snapshot rows of the table in `differential/mod.rs`. A memo
+//! small enough to evict constantly must not change the report either,
+//! and property-based tests pin the keying soundness condition: states
+//! that agree on an atom's footprint projection yield structurally
+//! identical expansions.
 
+#[macro_use]
+mod differential;
+
+use differential::*;
 use proptest::prelude::*;
 use quickstrom::prelude::*;
-use quickstrom::quickstrom_apps::{
-    registry, BigTable, Counter, EggTimer, MenuApp, TodoMvc, Wizard,
-};
+use quickstrom::quickstrom_apps::Counter;
 use quickstrom::quickstrom_protocol::ElementState;
 use quickstrom::specstrom::{self, expand_thunk, EvalCtx, MemoEntry};
-use quickstrom::webdom::App;
-use quickstrom_bench::{check_entry_mode, SnapshotMode};
 use std::sync::OnceLock;
 
-/// Checks `spec` against `app` under all three atom-cache modes and
-/// asserts the reports are bit-identical (verdicts, runs, traces,
-/// totals), plus the counter invariants of each mode.
-fn assert_cache_invisible<A, F>(source: &str, make_app: F, options: &CheckOptions) -> Report
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let spec = specstrom::load(source).expect("bundled spec compiles");
-    let run = |cache: AtomCacheMode| {
-        let make_app = make_app.clone();
-        let options = options.clone().with_atom_cache(cache);
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(make_app.clone()))
-        })
-        .expect("no protocol errors")
-    };
-    let value = run(AtomCacheMode::Value);
-    let footprint = run(AtomCacheMode::Footprint);
-    let off = run(AtomCacheMode::Off);
-    assert_eq!(value, footprint, "value vs footprint reports diverged");
-    assert_eq!(value, off, "value vs off reports diverged");
-    let v = value.timings();
-    let o = off.timings();
-    // Off re-evaluates everything and never touches the memo.
-    assert_eq!(o.atoms_total, o.atoms_reevaluated, "off must not skip");
-    assert_eq!(o.atom_memo_hits, 0, "off must not consult the memo");
-    // Same verdicts imply the evaluator requested the same atom set.
-    assert_eq!(v.atoms_total, o.atoms_total, "atom demand diverged");
-    // Value mode routes every request through the memo: each one is
-    // either a hit or a miss, and only misses run the IR. The memo must
-    // actually hit (not a vacuous comparison).
-    assert!(v.atom_memo_hits > 0, "the memo never hit");
-    assert_eq!(
-        v.atom_memo_hits + v.atom_memo_misses,
-        v.atoms_total,
-        "every requested atom is a hit or a miss"
-    );
-    assert_eq!(
-        v.atom_memo_misses, v.atoms_reevaluated,
-        "only memo misses may re-run atom IR"
-    );
-    value
+fn raced_rows() -> Vec<Row> {
+    runtime_rows(2, SnapshotMode::Delta)
 }
 
-fn quick_options() -> CheckOptions {
-    CheckOptions::default()
-        .with_tests(8)
-        .with_max_actions(25)
-        .with_default_demand(20)
-        .with_seed(97)
-        .with_shrink(false)
+fn check(bundled: Bundled) {
+    check_bundled(bundled, &raced_rows());
 }
 
-#[test]
-fn counter_spec_verdicts_cache_invariant() {
-    assert_cache_invisible(quickstrom::specs::COUNTER, Counter::new, &quick_options());
+bundled_tests! {
+    check;
+    counter_spec_verdicts_cache_invariant: Counter,
+    menu_spec_verdicts_cache_invariant: Menu,
+    egg_timer_spec_verdicts_cache_invariant: EggTimer,
+    todomvc_spec_verdicts_cache_invariant: TodoMvc,
+    bigtable_spec_verdicts_cache_invariant: BigTable,
+    wizard_spec_verdicts_cache_invariant: Wizard,
 }
 
-#[test]
-fn menu_spec_verdicts_cache_invariant() {
-    assert_cache_invisible(
-        quickstrom::specs::MENU,
-        || MenuApp::new(500),
-        &quick_options(),
-    );
-}
-
-#[test]
-fn egg_timer_spec_verdicts_cache_invariant() {
-    assert_cache_invisible(
-        quickstrom::specs::EGG_TIMER,
-        EggTimer::new,
-        &quick_options().with_max_actions(40),
-    );
-}
-
-#[test]
-fn todomvc_spec_verdicts_cache_invariant() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    assert_cache_invisible(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-}
-
-#[test]
-fn bigtable_spec_verdicts_cache_invariant() {
-    let report = assert_cache_invisible(
-        quickstrom::specs::BIGTABLE,
-        || BigTable::with_rows(120),
-        &quick_options(),
-    );
-    assert!(report.passed(), "{report}");
-}
-
-#[test]
-fn wizard_spec_verdicts_cache_invariant() {
-    let report = assert_cache_invisible(quickstrom::specs::WIZARD, Wizard::new, &quick_options());
-    assert!(report.passed(), "{report}");
-}
-
-/// The memo is shared at the property level, so parallel workers race
-/// lookups and inserts (first insert wins) and a later check starts with
-/// the memo already warm. Neither may change the report: run the same
-/// check sequentially, then with two workers against the *same* compiled
-/// spec (warm memo), and compare.
-#[test]
-fn shared_memo_is_job_count_invariant() {
-    let spec = specstrom::load(quickstrom::specs::COUNTER).expect("spec compiles");
-    let run = |jobs: usize| {
-        let options = quick_options().with_jobs(jobs);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(Counter::new))
-        })
-        .expect("no protocol errors")
-    };
-    let sequential = run(1);
-    let parallel = run(2);
-    assert_eq!(
-        sequential, parallel,
-        "jobs=2 with a warm shared memo diverged"
-    );
-}
-
-/// The faulty-entry case, shrinker on: counterexample search and the
-/// scripted shrink replays run with the memo active, and must match
-/// uncached evaluation exactly — including the `shrunk` flag and the
-/// per-state trace.
 #[test]
 fn faulty_entry_shrinks_identically_across_cache_modes() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322)
-        .with_shrink(true);
-    let run = |cache: AtomCacheMode| {
-        let options = options.clone().with_atom_cache(cache);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| {
-                TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared])
-            }))
-        })
-        .expect("no protocol errors")
-    };
-    let value = run(AtomCacheMode::Value);
-    let footprint = run(AtomCacheMode::Footprint);
-    let off = run(AtomCacheMode::Off);
-    assert_eq!(value, footprint);
-    assert_eq!(value, off);
-    assert!(!value.passed(), "the faulty app must fail");
-    let cx_value = value.properties[0].counterexample().expect("cx");
-    let cx_off = off.properties[0].counterexample().expect("cx");
-    assert!(cx_value.shrunk, "the shrinker ran");
-    assert_eq!(cx_value.script, cx_off.script);
-    assert_eq!(cx_value.trace, cx_off.trace);
-    assert_eq!(cx_value.verdict, cx_off.verdict);
+    check_faulty(&raced_rows());
 }
 
-/// A deliberately tiny memo forces FIFO eviction long before the run
-/// ends; verdicts must survive the churn and the eviction counter must
-/// record it. (The entries that *are* served from the memo still pass
-/// the debug collision check.)
-#[test]
-fn tiny_memo_capacity_evicts_without_changing_verdicts() {
-    let spec = specstrom::load(quickstrom::specs::COUNTER).expect("spec compiles");
-    let run = |cache: AtomCacheMode| {
-        let options = quick_options()
-            .with_atom_cache(cache)
-            .with_atom_memo_capacity(2);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(Counter::new))
-        })
-        .expect("no protocol errors")
-    };
-    let value = run(AtomCacheMode::Value);
-    let off = run(AtomCacheMode::Off);
-    assert_eq!(value, off, "eviction churn changed the report");
-    let v = value.timings();
-    assert!(v.atom_memo_evictions > 0, "capacity 2 never evicted");
-    assert_eq!(v.atom_memo_hits + v.atom_memo_misses, v.atoms_total);
-}
-
-/// The whole 43-entry registry, crossed over the checker's runtime
-/// knobs: entry `i` runs under combination `i % 8` of jobs 1/2 ×
-/// delta/full snapshots × automaton/stepper evaluation, so the full
-/// cross product is covered across the sweep. All three cache modes must
-/// agree per entry. The registry shares one compiled TodoMVC spec (and
-/// therefore one property-level memo) across all entries, so later
-/// entries exercise hits against states produced by *other*
-/// implementations.
 #[test]
 fn registry_sweep_agrees_across_cache_modes_jobs_snapshots_and_engines() {
-    let base = CheckOptions::default()
-        .with_tests(3)
-        .with_max_actions(25)
-        .with_default_demand(25)
-        .with_seed(11)
-        .with_shrink(false);
-    let mut memo_hits_total = 0u64;
-    for (i, entry) in quickstrom::quickstrom_apps::REGISTRY.iter().enumerate() {
-        let jobs = 1 + (i % 2);
-        let snapshot = if (i / 2) % 2 == 0 {
-            SnapshotMode::Delta
-        } else {
-            SnapshotMode::Full
-        };
-        let eval = if (i / 4) % 2 == 0 {
-            EvalMode::Automaton
-        } else {
-            EvalMode::Stepper
-        };
-        let options = base.clone().with_jobs(jobs).with_eval_mode(eval);
-        let value = check_entry_mode(
-            entry,
-            &options.clone().with_atom_cache(AtomCacheMode::Value),
-            snapshot,
-        );
-        let footprint = check_entry_mode(
-            entry,
-            &options.clone().with_atom_cache(AtomCacheMode::Footprint),
-            snapshot,
-        );
-        let off = check_entry_mode(
-            entry,
-            &options.with_atom_cache(AtomCacheMode::Off),
-            snapshot,
-        );
-        assert_eq!(
-            (value.passed, value.states),
-            (off.passed, off.states),
-            "{} (jobs {jobs}, {snapshot:?}, {eval:?}) diverged between value and off",
-            entry.name
-        );
-        assert_eq!(
-            (footprint.passed, footprint.states),
-            (off.passed, off.states),
-            "{} (jobs {jobs}, {snapshot:?}, {eval:?}) diverged between footprint and off",
-            entry.name
-        );
-        assert_eq!(
-            value.atoms_total, off.atoms_total,
-            "{}: the evaluator requested a different atom set",
-            entry.name
-        );
-        memo_hits_total += value.atom_memo_hits;
-    }
-    assert!(memo_hits_total > 0, "the shared memo never hit");
+    check_registry(2);
 }
 
-/// The spec backing the projection proptest: one state-comparison atom
+/// A memo of two entries evicts long before a run ends; the churn must
+/// not change the report.
+#[test]
+fn tiny_memo_capacity_evicts_without_changing_verdicts() {
+    let case = Case::new(
+        "counter at a tiny memo capacity",
+        quickstrom::specs::COUNTER,
+        app(Counter::new),
+        quick_options().with_atom_memo_capacity(2),
+    );
+    let checked = case.run(&rows());
+    assert!(
+        checked.total(|t| t.atom_memo_evictions) > 0,
+        "capacity 2 never evicted"
+    );
+}
+
+/// A second check with two workers starts from the memo the first check
+/// warmed, and its racing workers insert into it concurrently. Neither
+/// may change the report.
+#[test]
+fn shared_memo_is_job_count_invariant() {
+    let parallel = Row {
+        jobs: 2,
+        ..SEQUENTIAL
+    };
+    let checked = Bundled::Counter.case().run(&[SEQUENTIAL, parallel]);
+    let misses = |i: usize| checked.rows[i].1.timings().atom_memo_misses;
+    assert!(
+        misses(1) < misses(0),
+        "the jobs-2 check did not reuse the warm memo ({} vs {} misses)",
+        misses(1),
+        misses(0)
+    );
+}
+
+/// The spec backing the projection proptests: one state-comparison atom
 /// and one unrolling atom whose expansion captures an eager binding
 /// (`old`), so `MemoEntry` comparison covers both constant-folded
 /// expansions and sub-atom environments.
@@ -342,9 +140,9 @@ fn snapshot_with_junk(
 }
 
 proptest! {
-    /// The keying soundness condition behind the memo: two states that
-    /// agree on an atom's footprint projection (here: `#status` text and
-    /// `#items` count) produce structurally identical expansions — no
+    /// The keying soundness condition behind the atom memo: two states
+    /// that agree on an atom's footprint projection (here: `#status` text
+    /// and `#items` count) produce structurally identical expansions — no
     /// matter how the rest of the state differs. `MemoEntry` performs
     /// exactly the comparison the checker's debug collision check uses.
     #[test]

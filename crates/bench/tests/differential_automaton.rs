@@ -1,283 +1,101 @@
-//! The automaton ≡ stepper differential suite.
+//! The evaluation automaton against the oracle, which steps the plain
+//! stepper.
 //!
-//! `EvalMode::Automaton` progresses formulae through a memoized
-//! transition table (`quickltl::TransitionTable`) instead of re-running
-//! unroll → simplify → step per state. The optimisation must be
-//! *observably invisible*: verdicts, runs, recorded traces and shrunk
-//! counterexamples are bit-identical in both modes, on every workload,
-//! crossed with worker counts and snapshot-shipping modes. [`Report`]'s
-//! `PartialEq` compares everything except wall-clock, transport and
-//! coverage accounting, which is precisely the invariant stated here.
-//!
-//! Coverage mirrors the masking suite: every bundled specification
-//! against its real application, a faulty TodoMVC entry with the
-//! shrinker enabled (the automaton drives shrink replays too), the whole
-//! 43-entry registry crossed with `jobs` 1/2 and delta/full snapshots,
-//! the stepper-fallback path under a deliberately tiny state cap, and
-//! the shrink-replay counter-reset regression.
+//! Production progresses each property through its shared transition
+//! table instead of re-running unroll → simplify → step per state, and
+//! hands a run to the stepper mid-trace when the table outgrows its state
+//! cap. This suite holds the jobs-2, full-snapshot rows of the table in
+//! `differential/mod.rs`. A table capped small enough to force the
+//! fallback must not change the report either, and shrink replays must
+//! not inflate the reported counters.
 
-use quickstrom::prelude::*;
-use quickstrom::quickstrom_apps::{
-    registry, BigTable, Counter, EggTimer, MenuApp, TodoMvc, Wizard,
-};
-use quickstrom::specstrom;
-use quickstrom::webdom::App;
-use quickstrom_bench::{check_entry_mode, SnapshotMode};
+#[macro_use]
+mod differential;
 
-/// Checks `spec` against `app` in both evaluation modes and asserts the
-/// reports are bit-identical (verdicts, runs, traces, totals).
-fn assert_automaton_invisible<A, F>(source: &str, make_app: F, options: &CheckOptions) -> Report
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let spec = specstrom::load(source).expect("bundled spec compiles");
-    let run = |mode: EvalMode| {
-        let make_app = make_app.clone();
-        let options = options.clone().with_eval_mode(mode);
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(make_app.clone()))
-        })
-        .expect("no protocol errors")
-    };
-    let automaton = run(EvalMode::Automaton);
-    let stepper = run(EvalMode::Stepper);
-    assert_eq!(automaton, stepper, "evaluation mode changed the report");
-    // The table actually ran (not a vacuous comparison): the stepper must
-    // report no automaton activity, the automaton must have interned
-    // residuals — and, wherever a property executed more than one run,
-    // served lookups: later runs re-walk the residual prefix the first
-    // run interned. (A single run rarely hits its own table: demand
-    // subscripts decrement per state, so each step usually reaches a
-    // structurally new residual.)
-    let a = automaton.timings();
-    let s = stepper.timings();
-    assert_eq!((s.ltl_states, s.ltl_table_hits), (0, 0), "stepper counted");
-    assert!(a.ltl_states > 0, "no residual states interned");
-    if automaton.properties.iter().any(|p| p.runs.len() > 1) {
-        assert!(a.ltl_table_hits > 0, "no progression step hit the table");
+use differential::*;
+
+/// Checks a bundled specification under the jobs-2, full-snapshot rows,
+/// and that the table served lookups wherever a property executed more
+/// than one run: later runs re-walk the residual prefix the first run
+/// interned. (A single run rarely hits its own table: demand subscripts
+/// decrement per state, so each step usually reaches a new residual.)
+fn assert_automaton_invisible(bundled: Bundled) {
+    let checked = check_bundled(bundled, &runtime_rows(2, SnapshotMode::Full));
+    if checked.oracle.properties.iter().any(|p| p.runs.len() > 1) {
+        assert!(
+            checked.total(|t| t.ltl_table_hits) > 0,
+            "{bundled:?}: no progression step hit the table"
+        );
     }
-    automaton
 }
 
-fn quick_options() -> CheckOptions {
-    CheckOptions::default()
-        .with_tests(8)
-        .with_max_actions(25)
-        .with_default_demand(20)
-        .with_seed(97)
-        .with_shrink(false)
+bundled_tests! {
+    assert_automaton_invisible;
+    counter_spec_verdicts_eval_mode_invariant: Counter,
+    menu_spec_verdicts_eval_mode_invariant: Menu,
+    egg_timer_spec_verdicts_eval_mode_invariant: EggTimer,
+    todomvc_spec_verdicts_eval_mode_invariant: TodoMvc,
+    bigtable_spec_verdicts_eval_mode_invariant: BigTable,
+    wizard_spec_verdicts_eval_mode_invariant: Wizard,
 }
 
-#[test]
-fn counter_spec_verdicts_eval_mode_invariant() {
-    assert_automaton_invisible(quickstrom::specs::COUNTER, Counter::new, &quick_options());
-}
-
-#[test]
-fn menu_spec_verdicts_eval_mode_invariant() {
-    assert_automaton_invisible(
-        quickstrom::specs::MENU,
-        || MenuApp::new(500),
-        &quick_options(),
-    );
-}
-
-#[test]
-fn egg_timer_spec_verdicts_eval_mode_invariant() {
-    assert_automaton_invisible(
-        quickstrom::specs::EGG_TIMER,
-        EggTimer::new,
-        &quick_options().with_max_actions(40),
-    );
-}
-
-#[test]
-fn todomvc_spec_verdicts_eval_mode_invariant() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    assert_automaton_invisible(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-}
-
-#[test]
-fn bigtable_spec_verdicts_eval_mode_invariant() {
-    let report = assert_automaton_invisible(
-        quickstrom::specs::BIGTABLE,
-        || BigTable::with_rows(120),
-        &quick_options(),
-    );
-    assert!(report.passed(), "{report}");
-}
-
-#[test]
-fn wizard_spec_verdicts_eval_mode_invariant() {
-    let report =
-        assert_automaton_invisible(quickstrom::specs::WIZARD, Wizard::new, &quick_options());
-    assert!(report.passed(), "{report}");
-}
-
-/// The faulty-entry case, shrinker on: counterexample search and the
-/// scripted shrink replays step the automaton too, and must match
-/// stepper evaluation exactly — including the `shrunk` flag and the
-/// per-state trace.
 #[test]
 fn faulty_entry_shrinks_identically_across_eval_modes() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322)
-        .with_shrink(true);
-    let run = |mode: EvalMode| {
-        let options = options.clone().with_eval_mode(mode);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| {
-                TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared])
-            }))
-        })
-        .expect("no protocol errors")
-    };
-    let automaton = run(EvalMode::Automaton);
-    let stepper = run(EvalMode::Stepper);
-    assert_eq!(automaton, stepper);
-    assert!(!automaton.passed(), "the faulty app must fail");
-    let cx_automaton = automaton.properties[0].counterexample().expect("cx");
-    let cx_stepper = stepper.properties[0].counterexample().expect("cx");
-    assert!(cx_automaton.shrunk, "the shrinker ran");
-    assert_eq!(cx_automaton.script, cx_stepper.script);
-    assert_eq!(cx_automaton.trace, cx_stepper.trace);
-    assert_eq!(cx_automaton.verdict, cx_stepper.verdict);
+    check_faulty(&runtime_rows(2, SnapshotMode::Full));
 }
 
-/// The whole 43-entry registry, crossed over evaluation mode × worker
-/// count × snapshot-shipping mode: per-entry verdicts and state counts
-/// are identical in all eight combinations, and the automaton served
-/// real lookups overall.
 #[test]
 fn registry_sweep_agrees_across_eval_modes_jobs_and_snapshots() {
-    let base = CheckOptions::default()
-        .with_tests(4)
-        .with_max_actions(30)
-        .with_default_demand(25)
-        .with_seed(7)
-        .with_shrink(false);
-    let mut hits_total = 0u64;
-    for entry in quickstrom::quickstrom_apps::REGISTRY {
-        let mut baseline = None;
-        for jobs in [1usize, 2] {
-            for snapshots in [SnapshotMode::Delta, SnapshotMode::Full] {
-                for eval in [EvalMode::Automaton, EvalMode::Stepper] {
-                    let options = base.clone().with_jobs(jobs).with_eval_mode(eval);
-                    let result = check_entry_mode(entry, &options, snapshots);
-                    if eval == EvalMode::Automaton {
-                        hits_total += result.ltl_table_hits;
-                    } else {
-                        assert_eq!(
-                            (result.ltl_states, result.ltl_table_hits),
-                            (0, 0),
-                            "{}: the stepper touched the automaton counters",
-                            entry.name
-                        );
-                    }
-                    let key = (result.passed, result.states);
-                    match baseline {
-                        None => baseline = Some(key),
-                        Some(expected) => assert_eq!(
-                            key, expected,
-                            "{} diverged under jobs={jobs}, {snapshots:?}, {eval}",
-                            entry.name
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    assert!(hits_total > 0, "the table never answered a step by lookup");
+    check_registry(3);
 }
 
-/// The stepper-fallback path: a state cap small enough that every run
-/// blows it mid-trace, forcing the automaton to reconstitute the
-/// concrete residual and hand the run to the stepper. Verdicts, traces
-/// and totals stay pinned to both the uncapped automaton and the plain
-/// stepper, and the table respects the cap.
+/// A state cap small enough that every run outgrows it mid-trace: the
+/// automaton hands each run to the stepper, which must carry on exactly
+/// where the table left off.
 #[test]
 fn fallback_at_tiny_state_cap_is_verdict_invariant() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = quick_options().with_default_demand(40).with_max_actions(50);
-    let run = |options: CheckOptions| {
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(|| entry.build()))
-        })
-        .expect("no protocol errors")
-    };
     let cap = 2;
-    let capped = run(options
-        .clone()
-        .with_eval_mode(EvalMode::Automaton)
-        .with_automaton_state_cap(cap));
-    let uncapped = run(options.clone().with_eval_mode(EvalMode::Automaton));
-    let stepper = run(options.with_eval_mode(EvalMode::Stepper));
-    assert_eq!(capped, uncapped, "the fallback changed the report");
-    assert_eq!(capped, stepper, "the fallback diverged from the stepper");
-    let t = capped.timings();
+    let mut case = Bundled::TodoMvc.case();
+    case.name = "todomvc at a tiny state cap".to_owned();
+    let uncapped = case.base.clone();
+    case.base = case.base.with_automaton_state_cap(cap);
+    let spec = quickstrom::specstrom::load(case.spec).expect("bundled spec compiles");
+    let checked = case.run_on(&spec, &rows());
+    for (row, report) in &checked.rows {
+        assert!(
+            report.timings().ltl_states <= cap as u64,
+            "{row:?}: the capped table outgrew its cap"
+        );
+    }
+    // The uncapped automaton needs more states than the cap allows, so
+    // the cap really forced the fallback.
+    case.base = uncapped;
+    let report = case.check(&spec, &SEQUENTIAL);
     assert!(
-        t.ltl_states <= cap as u64,
-        "the capped table interned {} states over the cap of {cap}",
-        t.ltl_states
-    );
-    // The uncapped automaton needs more residuals than the cap allows —
-    // i.e. the cap genuinely forced the fallback path.
-    assert!(
-        uncapped.timings().ltl_states > cap as u64,
+        report.timings().ltl_states > cap as u64,
         "the workload never exceeded the cap; the fallback was not exercised"
     );
 }
 
-/// Regression: shrink replays must not inflate the per-property
-/// evaluation counters. The search phase is seed-identical with
-/// shrinking on and off, and replay counters are excluded from the
-/// session totals, so the reported counters must agree exactly — while
-/// the shrinker demonstrably ran.
+/// Shrink replays must not inflate the reported counters: the search is
+/// seed-identical with shrinking on and off, and replay counters are
+/// excluded from the totals.
 #[test]
 fn shrink_replays_do_not_inflate_eval_counters() {
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322);
-    let run = |shrink: bool| {
-        // A fresh spec per run: the transition table hangs off the
-        // compiled spec, so sharing one instance would warm the second
-        // check's cache and make the hit counter order-dependent.
-        let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-        let options = options.clone().with_shrink(shrink);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| {
-                TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared])
-            }))
-        })
-        .expect("no protocol errors")
-    };
-    let shrunk = run(true);
-    let unshrunk = run(false);
+    // A fresh spec per check: the caches hang off the compiled spec, and
+    // a warm second check would count differently regardless of shrink.
+    let shrunk = faulty_case().run(&[SEQUENTIAL]).rows.remove(0).1;
+    let mut unshrunk_case = faulty_case();
+    unshrunk_case.base = unshrunk_case.base.with_shrink(false);
+    let unshrunk = unshrunk_case.run(&[SEQUENTIAL]).rows.remove(0).1;
     assert!(
         shrunk.properties[0].counterexample().expect("cx").shrunk,
         "the shrinker ran"
     );
-    let s = shrunk.timings();
-    let u = unshrunk.timings();
-    assert_eq!(s.atoms_total, u.atoms_total, "shrink inflated atoms_total");
+    let (s, u) = (shrunk.timings(), unshrunk.timings());
     assert_eq!(
-        s.atoms_reevaluated, u.atoms_reevaluated,
-        "shrink inflated atoms_reevaluated"
-    );
-    assert_eq!(
-        s.ltl_table_hits, u.ltl_table_hits,
-        "shrink inflated ltl_table_hits"
+        (s.atoms_total, s.atoms_reevaluated, s.ltl_table_hits),
+        (u.atoms_total, u.atoms_reevaluated, u.ltl_table_hits),
+        "shrink replays inflated the counters"
     );
 }

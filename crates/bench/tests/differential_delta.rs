@@ -1,190 +1,84 @@
-//! The delta-mode ≡ full-mode differential suite.
+//! Full-snapshot shipping against the oracle, which ships deltas.
 //!
-//! The incremental snapshot pipeline must be *observably invisible*: for
-//! any workload, a checker fed `SnapshotDelta`s reconstructs exactly the
-//! states a full-snapshot executor would have shipped, so verdicts, state
-//! counts, recorded traces and shrunk counterexamples are bit-identical
-//! between the two modes. [`Report`]'s `PartialEq` compares everything
-//! except wall-clock and transport accounting, which is precisely the
-//! invariant stated here.
-//!
-//! Coverage: every bundled specification against its real application
-//! (including the large-DOM BigTable grid), a faulty TodoMVC entry with
-//! the shrinker enabled (so delta-mode replay drives shrinking too), the
-//! whole 43-entry registry, and the `jobs = N` determinism invariant on
-//! top of delta mode.
+//! The incremental snapshot pipeline must be invisible: a checker fed
+//! `SnapshotDelta`s reconstructs exactly the states a full-snapshot
+//! executor would have shipped. This suite holds the jobs-1,
+//! full-snapshot rows of the table in `differential/mod.rs`, against the
+//! reference checker, which always runs on delta snapshots. The deltas
+//! must also really flow and, on the sequential engine, ship fewer bytes
+//! than full snapshots.
 
+#[macro_use]
+mod differential;
+
+use differential::*;
 use quickstrom::prelude::*;
-use quickstrom::quickstrom_apps::{registry, BigTable, Counter, EggTimer, MenuApp, TodoMvc};
-use quickstrom::quickstrom_executor::WebExecutorConfig;
-use quickstrom::specstrom;
-use quickstrom::webdom::App;
-use quickstrom_bench::{check_entry_mode, SnapshotMode};
+use quickstrom::quickstrom_apps::BigTable;
 
-/// Checks `spec` against `app` in both snapshot modes and asserts the
-/// reports are bit-identical (verdicts, runs, traces, totals).
-fn assert_modes_agree<A, F>(source: &str, make_app: F, options: &CheckOptions) -> Report
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let spec = specstrom::load(source).expect("bundled spec compiles");
-    let run = |config: WebExecutorConfig| {
-        let make_app = make_app.clone();
-        check_spec(&spec, options, &move || {
-            Box::new(WebExecutor::with_config(make_app.clone(), config.clone()))
-        })
-        .expect("no protocol errors")
-    };
-    let delta = run(WebExecutorConfig::default());
-    let full = run(WebExecutorConfig::full_snapshots());
-    assert_eq!(delta, full, "delta mode diverged from full mode");
-    // Deltas actually flowed in delta mode (not a vacuous comparison) —
-    // unless the adaptive fallback decided full snapshots were smaller
-    // throughout, which cannot happen for these multi-selector specs.
-    assert!(delta.transport().delta_states > 0);
-    assert_eq!(full.transport().delta_states, 0);
-    assert!(delta.transport().shipped_bytes < full.transport().shipped_bytes);
-    delta
-}
-
-fn quick_options() -> CheckOptions {
-    CheckOptions::default()
-        .with_tests(8)
-        .with_max_actions(25)
-        .with_default_demand(20)
-        .with_seed(97)
-        .with_shrink(false)
-}
-
-#[test]
-fn counter_spec_agrees_across_modes() {
-    assert_modes_agree(quickstrom::specs::COUNTER, Counter::new, &quick_options());
-}
-
-#[test]
-fn menu_spec_agrees_across_modes() {
-    assert_modes_agree(
-        quickstrom::specs::MENU,
-        || MenuApp::new(500),
-        &quick_options(),
-    );
-}
-
-#[test]
-fn egg_timer_spec_agrees_across_modes() {
-    assert_modes_agree(
-        quickstrom::specs::EGG_TIMER,
-        EggTimer::new,
-        &quick_options().with_max_actions(40),
-    );
-}
-
-#[test]
-fn todomvc_spec_agrees_across_modes() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    assert_modes_agree(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-}
-
-#[test]
-fn bigtable_spec_agrees_across_modes() {
-    let report = assert_modes_agree(
-        quickstrom::specs::BIGTABLE,
-        || BigTable::with_rows(120),
-        &quick_options(),
-    );
-    assert!(report.passed(), "{report}");
-    // The large-DOM regime: deltas must ship an order of magnitude less.
-    let t = report.transport();
+/// Checks a bundled specification under the jobs-1, full-snapshot rows,
+/// and that the oracle's deltas were a real saving over full snapshots.
+fn assert_modes_agree(bundled: Bundled) -> Checked {
+    let checked = check_bundled(bundled, &runtime_rows(1, SnapshotMode::Full));
+    let delta = checked.oracle.transport();
+    assert!(delta.delta_states > 0, "the oracle shipped no delta");
+    let (_, full) = checked
+        .rows
+        .iter()
+        .find(|(row, _)| row.runtime == Runtime::Sequential)
+        .expect("a sequential full-snapshot row");
     assert!(
-        t.delta_ratio() < 0.5,
-        "expected a large-DOM delta win, got {t:?}"
+        delta.shipped_bytes < full.transport().shipped_bytes,
+        "deltas shipped {} bytes, full snapshots {}",
+        delta.shipped_bytes,
+        full.transport().shipped_bytes
     );
+    checked
 }
 
-/// The faulty-entry case, shrinker on: the counterexample search, the
-/// scripted shrink replays and the final minimised script all run on the
-/// shared-state representation, and must match full mode exactly —
-/// including the `shrunk` flag and the per-state trace.
+bundled_tests! {
+    assert_modes_agree;
+    counter_spec_agrees_across_modes: Counter,
+    menu_spec_agrees_across_modes: Menu,
+    egg_timer_spec_agrees_across_modes: EggTimer,
+    todomvc_spec_agrees_across_modes: TodoMvc,
+    bigtable_spec_agrees_across_modes: BigTable,
+    wizard_spec_agrees_across_modes: Wizard,
+}
+
+/// The counterexample search, the scripted shrink replays and the final
+/// minimised script all run on reconstructed states.
 #[test]
 fn faulty_entry_shrinks_identically_in_both_modes() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322)
-        .with_shrink(true);
-    let run = |config: WebExecutorConfig| {
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::with_config(
-                || TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared]),
-                config.clone(),
-            ))
-        })
-        .expect("no protocol errors")
-    };
-    let delta = run(WebExecutorConfig::default());
-    let full = run(WebExecutorConfig::full_snapshots());
-    assert_eq!(delta, full);
-    assert!(!delta.passed(), "the faulty app must fail");
-    let cx_delta = delta.properties[0].counterexample().expect("cx");
-    let cx_full = full.properties[0].counterexample().expect("cx");
-    assert!(cx_delta.shrunk, "the shrinker ran");
-    assert_eq!(cx_delta.script, cx_full.script);
-    assert_eq!(cx_delta.trace, cx_full.trace);
-    assert_eq!(cx_delta.verdict, cx_full.verdict);
-    // The reconstructed trace carries real states, structurally shared.
-    assert!(!cx_delta.trace.is_empty());
-    assert!(cx_delta.trace[0].happened().contains(&"loaded?".into()));
+    check_faulty(&runtime_rows(1, SnapshotMode::Full));
 }
 
-/// The whole 43-entry registry: per-entry verdicts and state counts are
-/// mode-independent.
 #[test]
 fn registry_sweep_agrees_across_modes() {
-    let options = CheckOptions::default()
-        .with_tests(4)
-        .with_max_actions(30)
-        .with_default_demand(25)
-        .with_seed(7)
-        .with_shrink(false);
-    for entry in quickstrom::quickstrom_apps::REGISTRY {
-        let delta = check_entry_mode(entry, &options, SnapshotMode::Delta);
-        let full = check_entry_mode(entry, &options, SnapshotMode::Full);
-        assert_eq!(
-            (delta.passed, delta.states),
-            (full.passed, full.states),
-            "{} diverged between modes",
-            entry.name
-        );
-    }
+    check_registry(1);
 }
 
-/// Delta mode preserves the parallel-runtime determinism invariant:
-/// `jobs = N` reports remain bit-identical to `jobs = 1`.
+/// Delta shipping keeps the parallel runtime's determinism: reports at
+/// `jobs = 2` and `4` equal the oracle's, which runs at `jobs = 1`.
 #[test]
 fn delta_mode_keeps_jobs_determinism() {
-    let spec = specstrom::load(quickstrom::specs::BIGTABLE).expect("spec compiles");
-    let run = |jobs: usize| {
-        let options = CheckOptions::default()
+    let case = Case::new(
+        "bigtable",
+        quickstrom::specs::BIGTABLE,
+        app(|| BigTable::with_rows(80)),
+        CheckOptions::default()
             .with_tests(8)
             .with_max_actions(20)
             .with_default_demand(15)
             .with_seed(13)
-            .with_shrink(false)
-            .with_jobs(jobs);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| BigTable::with_rows(80)))
+            .with_shrink(false),
+    );
+    let rows: Vec<Row> = [1, 2, 4]
+        .into_iter()
+        .map(|jobs| Row {
+            jobs,
+            runtime: Runtime::Pipelined { depth: 16 },
+            ..SEQUENTIAL
         })
-        .expect("no protocol errors")
-    };
-    let sequential = run(1);
-    for jobs in [2, 4] {
-        assert_eq!(sequential, run(jobs), "jobs={jobs} diverged");
-    }
+        .collect();
+    case.run(&rows);
 }

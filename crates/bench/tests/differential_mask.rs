@@ -1,198 +1,59 @@
-//! The atom-masked ≡ unmasked differential suite.
+//! Expansion reuse and the spec-aware fingerprint against the oracle.
 //!
-//! Atom masking (`CheckOptions::mask_atoms`) lets the checker reuse an
-//! atom's previous expansion whenever a snapshot delta provably could not
-//! have changed anything the atom reads — the static footprint from
-//! `specstrom::analysis`. The optimisation must be *observably
-//! invisible*: verdicts, runs, recorded traces and shrunk
-//! counterexamples are bit-identical with masking on and off, on every
-//! workload. [`Report`]'s `PartialEq` compares everything except
-//! wall-clock, transport and coverage accounting, which is precisely the
-//! invariant stated here.
-//!
-//! Coverage mirrors the delta-mode suite: every bundled specification
-//! against its real application, a faulty TodoMVC entry with the
-//! shrinker enabled (masked replay drives shrinking too), and the whole
-//! 43-entry registry.
+//! Production reuses an atom's expansion whenever the state it reads —
+//! its static footprint from `specstrom::analysis` — is one the atom memo
+//! has seen, while the reference checker expands every atom afresh. This
+//! suite holds the spec-aware fingerprint row of the table in
+//! `differential/mod.rs`. The fingerprint changes only the coverage
+//! abstraction, which the uniform strategy never consults, so it must not
+//! change the report either.
 
+#[macro_use]
+mod differential;
+
+use differential::*;
 use quickstrom::prelude::*;
-use quickstrom::quickstrom_apps::{
-    registry, BigTable, Counter, EggTimer, MenuApp, TodoMvc, Wizard,
-};
-use quickstrom::specstrom;
-use quickstrom::webdom::App;
-use quickstrom_bench::{check_entry_mode, SnapshotMode};
 
-/// Checks `spec` against `app` with atom masking on and off and asserts
-/// the reports are bit-identical (verdicts, runs, traces, totals).
-fn assert_masking_invisible<A, F>(source: &str, make_app: F, options: &CheckOptions) -> Report
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let spec = specstrom::load(source).expect("bundled spec compiles");
-    let run = |mask: bool| {
-        let make_app = make_app.clone();
-        let options = options.clone().with_mask_atoms(mask);
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(make_app.clone()))
-        })
-        .expect("no protocol errors")
-    };
-    let masked = run(true);
-    let unmasked = run(false);
-    assert_eq!(masked, unmasked, "atom masking changed the report");
-    // Masking actually reused expansions (not a vacuous comparison):
-    // with it off every requested atom re-evaluates, with it on at least
-    // one delta step must have skipped at least one atom.
-    let m = masked.timings();
-    let u = unmasked.timings();
-    assert_eq!(u.atoms_total, u.atoms_reevaluated, "unmasked must not skip");
+/// Checks a bundled specification under the spec-aware row, and that
+/// production really skipped atom work the oracle did.
+fn assert_masking_invisible(bundled: Bundled) {
+    let checked = check_bundled(bundled, &[SPEC_AWARE]);
+    let t = checked.rows[0].1.timings();
     assert!(
-        m.atoms_reevaluated < m.atoms_total,
-        "masking never skipped an atom ({} of {} re-evaluated)",
-        m.atoms_reevaluated,
-        m.atoms_total,
-    );
-    masked
-}
-
-fn quick_options() -> CheckOptions {
-    CheckOptions::default()
-        .with_tests(8)
-        .with_max_actions(25)
-        .with_default_demand(20)
-        .with_seed(97)
-        .with_shrink(false)
-}
-
-#[test]
-fn counter_spec_verdicts_mask_invariant() {
-    assert_masking_invisible(quickstrom::specs::COUNTER, Counter::new, &quick_options());
-}
-
-#[test]
-fn menu_spec_verdicts_mask_invariant() {
-    assert_masking_invisible(
-        quickstrom::specs::MENU,
-        || MenuApp::new(500),
-        &quick_options(),
+        t.atoms_reevaluated < t.atoms_total,
+        "{bundled:?}: no atom expansion was ever reused ({} of {} re-evaluated)",
+        t.atoms_reevaluated,
+        t.atoms_total,
     );
 }
 
-#[test]
-fn egg_timer_spec_verdicts_mask_invariant() {
-    assert_masking_invisible(
-        quickstrom::specs::EGG_TIMER,
-        EggTimer::new,
-        &quick_options().with_max_actions(40),
-    );
+bundled_tests! {
+    assert_masking_invisible;
+    counter_spec_verdicts_mask_invariant: Counter,
+    menu_spec_verdicts_mask_invariant: Menu,
+    egg_timer_spec_verdicts_mask_invariant: EggTimer,
+    todomvc_spec_verdicts_mask_invariant: TodoMvc,
+    bigtable_spec_verdicts_mask_invariant: BigTable,
+    wizard_spec_verdicts_mask_invariant: Wizard,
 }
 
-#[test]
-fn todomvc_spec_verdicts_mask_invariant() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    assert_masking_invisible(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-}
-
-#[test]
-fn bigtable_spec_verdicts_mask_invariant() {
-    let report = assert_masking_invisible(
-        quickstrom::specs::BIGTABLE,
-        || BigTable::with_rows(120),
-        &quick_options(),
-    );
-    assert!(report.passed(), "{report}");
-}
-
-#[test]
-fn wizard_spec_verdicts_mask_invariant() {
-    let report = assert_masking_invisible(quickstrom::specs::WIZARD, Wizard::new, &quick_options());
-    assert!(report.passed(), "{report}");
-}
-
-/// The spec-aware fingerprint changes only the coverage abstraction (and
-/// through it the novelty strategy's guidance); under the uniform
-/// strategy — which never consults fingerprints for selection — verdicts
-/// and traces must be identical to the shape fingerprint.
+/// Under the uniform strategy the shape and spec-aware fingerprints must
+/// both produce the oracle's report.
 #[test]
 fn spec_aware_fingerprint_is_verdict_invariant_under_uniform() {
-    let spec = specstrom::load(quickstrom::specs::WIZARD).expect("spec compiles");
-    let run = |fingerprint: FingerprintMode| {
-        let options = quick_options().with_fingerprint(fingerprint);
-        check_spec(&spec, &options, &|| Box::new(WebExecutor::new(Wizard::new)))
-            .expect("no protocol errors")
+    let shape = Row {
+        fingerprint: FingerprintMode::Shape,
+        ..SPEC_AWARE
     };
-    let shape = run(FingerprintMode::Shape);
-    let aware = run(FingerprintMode::SpecAware);
-    assert_eq!(shape, aware, "fingerprint abstraction changed verdicts");
+    check_bundled(Bundled::Wizard, &[shape, SPEC_AWARE]);
 }
 
-/// The faulty-entry case, shrinker on: counterexample search and the
-/// scripted shrink replays run with the atom cache active, and must
-/// match unmasked evaluation exactly — including the `shrunk` flag and
-/// the per-state trace.
 #[test]
 fn faulty_entry_shrinks_identically_with_masking() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322)
-        .with_shrink(true);
-    let run = |mask: bool| {
-        let options = options.clone().with_mask_atoms(mask);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| {
-                TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared])
-            }))
-        })
-        .expect("no protocol errors")
-    };
-    let masked = run(true);
-    let unmasked = run(false);
-    assert_eq!(masked, unmasked);
-    assert!(!masked.passed(), "the faulty app must fail");
-    let cx_masked = masked.properties[0].counterexample().expect("cx");
-    let cx_unmasked = unmasked.properties[0].counterexample().expect("cx");
-    assert!(cx_masked.shrunk, "the shrinker ran");
-    assert_eq!(cx_masked.script, cx_unmasked.script);
-    assert_eq!(cx_masked.trace, cx_unmasked.trace);
-    assert_eq!(cx_masked.verdict, cx_unmasked.verdict);
+    check_faulty(&[SPEC_AWARE]);
 }
 
-/// The whole 43-entry registry: per-entry verdicts and state counts are
-/// independent of atom masking, and masking skips real work overall.
 #[test]
 fn registry_sweep_agrees_with_and_without_masks() {
-    let options = CheckOptions::default()
-        .with_tests(4)
-        .with_max_actions(30)
-        .with_default_demand(25)
-        .with_seed(7)
-        .with_shrink(false);
-    let unmasked_options = options.clone().with_mask_atoms(false);
-    let mut skipped_total = 0u64;
-    for entry in quickstrom::quickstrom_apps::REGISTRY {
-        let masked = check_entry_mode(entry, &options, SnapshotMode::Delta);
-        let unmasked = check_entry_mode(entry, &unmasked_options, SnapshotMode::Delta);
-        assert_eq!(
-            (masked.passed, masked.states),
-            (unmasked.passed, unmasked.states),
-            "{} diverged between masked and unmasked evaluation",
-            entry.name
-        );
-        assert_eq!(
-            masked.atoms_total, unmasked.atoms_total,
-            "{}: the evaluator requested a different atom set",
-            entry.name
-        );
-        skipped_total += masked.atoms_total - masked.atoms_reevaluated;
-    }
-    assert!(skipped_total > 0, "masking never skipped an atom");
+    check_registry(4);
 }

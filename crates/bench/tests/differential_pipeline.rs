@@ -1,447 +1,172 @@
-//! The pipelined-runtime differential suite: `--pipeline on` ≡ `off`.
+//! The pipelined runtime and the step memo against the oracle.
 //!
-//! The two-stage pipelined session runtime (`CheckOptions::pipeline`, see
-//! DESIGN.md's *Pipelined runtime*) overlaps the executor/driver stage
-//! with the formula evaluator, speculating up to `pipeline_depth` states
-//! past the evaluator's position and discarding the speculative tail when
-//! a verdict lands. Like every engine optimisation in this repository,
-//! it must be *observably invisible*: verdicts, runs, recorded traces,
-//! state/action totals, shrunk counterexamples and the atom/automaton
-//! counters are bit-identical to the sequential engine, on every
-//! workload, at every speculation depth, for every multiplex width.
-//! [`Report`]'s `PartialEq` compares everything except wall-clock,
-//! transport and coverage accounting — transport legitimately differs
-//! under pipelining (speculative messages still cross the wire), which is
-//! precisely why it is excluded.
+//! This suite holds the jobs-1, delta-snapshot rows of the table in
+//! `differential/mod.rs`. The pipelined runtime speculates past the
+//! evaluator and discards the speculative tail when a verdict lands, so
+//! the report may depend on neither the speculation depth nor the
+//! multiplex width.
 //!
-//! Coverage mirrors the atom-memo suite: every bundled specification
-//! against its real application, a faulty TodoMVC entry with the shrinker
-//! enabled, a speculation-truncation pin at depths 1/4/64, multiplexed
-//! scheduling at several widths, and the whole 43-entry registry crossed
-//! over jobs 1/2 × multiplex 1/3 × delta/full snapshots ×
-//! automaton/stepper evaluation × the three atom-cache modes.
+//! The evaluator stage replays the sequential engine exactly, so on a
+//! freshly compiled spec the pipelined rows must also reproduce the
+//! sequential engine's evaluation counters. Multiplexed sessions
+//! interleave runs on the shared caches, so their counters depend on
+//! scheduling and only their reports are compared.
+//!
+//! The step memo has no switch to compare against, so it is checked cold
+//! against warm: a second check of the same workload on the same compiled
+//! spec is answered mostly by step-memo replays, and must reproduce the
+//! first check's report, atom demand and automaton size.
 
+#[macro_use]
+mod differential;
+
+use differential::*;
 use quickstrom::prelude::*;
-use quickstrom::quickstrom_apps::{
-    registry, BigTable, Counter, EggTimer, MenuApp, TodoMvc, Wizard,
-};
-use quickstrom::specstrom;
-use quickstrom::webdom::App;
-use quickstrom_bench::{check_entry_mode, SnapshotMode};
 
-/// Checks `source` against `app` with the pipelined runtime and with the
-/// sequential engine, asserts the reports are bit-identical, and asserts
-/// the evaluation counters (which the pipelined evaluator stage must
-/// reproduce exactly) match too.
-fn assert_pipeline_invisible<A, F>(source: &str, make_app: F, options: &CheckOptions) -> Report
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let run = |pipeline: PipelineMode| {
-        // A fresh compiled spec per engine: the property-level atom memo
-        // and the automaton transition table hang off the spec and stay
-        // warm across checks, so sharing one spec would make the second
-        // engine's counters incomparably cheaper regardless of pipeline.
-        let spec = specstrom::load(source).expect("bundled spec compiles");
-        let make_app = make_app.clone();
-        let options = options.clone().with_pipeline(pipeline);
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(make_app.clone()))
-        })
-        .expect("no protocol errors")
+fn pipeline_rows() -> Vec<Row> {
+    runtime_rows(1, SnapshotMode::Delta)
+}
+
+fn check(bundled: Bundled) {
+    let checked = check_bundled(bundled, &pipeline_rows());
+    assert_counters_match_sequential(&bundled.case(), &checked.oracle);
+}
+
+/// Checks `case` sequentially and pipelined at each depth, each on its
+/// own freshly compiled spec so that all start equally cold, and asserts
+/// that every pipelined check reproduces the oracle's report and the
+/// sequential engine's evaluation counters.
+fn assert_counters_match_sequential(case: &Case, oracle: &Report) {
+    let counters = |row: &Row| {
+        let spec = quickstrom::specstrom::load(case.spec).expect("bundled spec compiles");
+        let report = case.check(&spec, row);
+        assert_eq!(&report, oracle, "{} under {row:?}: diverged", case.name);
+        let t = report.timings();
+        [
+            t.atoms_total,
+            t.atoms_reevaluated,
+            t.atom_memo_hits,
+            t.atom_memo_misses,
+            t.ltl_table_hits,
+            t.ltl_states,
+            t.step_memo_hits,
+        ]
     };
-    let pipelined = run(PipelineMode::On);
-    let sequential = run(PipelineMode::Off);
-    assert_eq!(
-        pipelined, sequential,
-        "pipelined vs sequential reports diverged"
-    );
-    let p = pipelined.timings();
-    let s = sequential.timings();
-    // The evaluator stage replays the sequential engine exactly, so every
-    // evaluation counter — not just the verdicts — must agree.
-    assert_eq!(p.atoms_total, s.atoms_total, "atom demand diverged");
-    assert_eq!(
-        p.atoms_reevaluated, s.atoms_reevaluated,
-        "atom re-evaluation diverged"
-    );
-    assert_eq!(p.atom_memo_hits, s.atom_memo_hits, "memo hits diverged");
-    assert_eq!(
-        p.atom_memo_misses, s.atom_memo_misses,
-        "memo misses diverged"
-    );
-    assert_eq!(p.ltl_table_hits, s.ltl_table_hits, "table hits diverged");
-    // The sequential engine reports no pipeline; the pipelined engine
-    // echoes its configured depth.
-    assert_eq!(s.pipeline_depth, 0, "sequential engine has no pipeline");
-    assert_eq!(s.speculative_states_discarded, 0);
-    assert_eq!(s.executor_stall_s, 0.0);
-    assert_eq!(s.evaluator_stall_s, 0.0);
-    assert_eq!(
-        p.pipeline_depth,
-        options.pipeline_depth.max(1) as u64,
-        "pipelined engine must echo its speculation bound"
-    );
-    pipelined
-}
-
-fn quick_options() -> CheckOptions {
-    CheckOptions::default()
-        .with_tests(8)
-        .with_max_actions(25)
-        .with_default_demand(20)
-        .with_seed(97)
-        .with_shrink(false)
-}
-
-#[test]
-fn counter_spec_verdicts_pipeline_invariant() {
-    assert_pipeline_invisible(quickstrom::specs::COUNTER, Counter::new, &quick_options());
-}
-
-#[test]
-fn menu_spec_verdicts_pipeline_invariant() {
-    assert_pipeline_invisible(
-        quickstrom::specs::MENU,
-        || MenuApp::new(500),
-        &quick_options(),
-    );
-}
-
-#[test]
-fn egg_timer_spec_verdicts_pipeline_invariant() {
-    assert_pipeline_invisible(
-        quickstrom::specs::EGG_TIMER,
-        EggTimer::new,
-        &quick_options().with_max_actions(40),
-    );
-}
-
-#[test]
-fn todomvc_spec_verdicts_pipeline_invariant() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    assert_pipeline_invisible(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-}
-
-#[test]
-fn bigtable_spec_verdicts_pipeline_invariant() {
-    let report = assert_pipeline_invisible(
-        quickstrom::specs::BIGTABLE,
-        || BigTable::with_rows(120),
-        &quick_options(),
-    );
-    assert!(report.passed(), "{report}");
-}
-
-#[test]
-fn wizard_spec_verdicts_pipeline_invariant() {
-    let report =
-        assert_pipeline_invisible(quickstrom::specs::WIZARD, Wizard::new, &quick_options());
-    assert!(report.passed(), "{report}");
-}
-
-/// The truncation pin: the speculation window bounds how far the driver
-/// can run past the canonical stop point, so the *shape* of speculation
-/// differs wildly between depth 1 (near-lockstep), 4 and 64 (the driver
-/// can race a whole run ahead) — but every report must be identical to
-/// the sequential engine's, because the evaluator discards the
-/// speculative tail unprocessed.
-#[test]
-fn speculation_depth_never_leaks_into_reports() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let entry = registry::by_name("vue").expect("registry entry");
-    let base = quick_options().with_default_demand(40).with_max_actions(50);
-    let run = |options: CheckOptions| {
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(move || entry.build()))
-        })
-        .expect("no protocol errors")
-    };
-    let sequential = run(base.clone().with_pipeline(PipelineMode::Off));
-    for depth in [1usize, 4, 64] {
-        let pipelined = run(base.clone().with_pipeline_depth(depth));
+    let sequential = counters(&SEQUENTIAL);
+    let pipelined = pipeline_rows()
+        .into_iter()
+        .filter(|row| matches!(row.runtime, Runtime::Pipelined { .. }));
+    for row in pipelined {
         assert_eq!(
-            pipelined, sequential,
-            "pipeline depth {depth} changed the report"
-        );
-        assert_eq!(
-            pipelined.timings().pipeline_depth,
-            depth as u64,
-            "depth {depth} not echoed"
+            counters(&row),
+            sequential,
+            "{} under {row:?}: evaluation counters differ from the sequential engine's",
+            case.name
         );
     }
 }
 
-/// Multiplexed scheduling: several in-flight sessions per worker, with
-/// and without extra workers. Slot-ordered retirement keeps the merged
-/// report bit-identical to the sequential engine for every (jobs,
-/// multiplex) combination.
-#[test]
-fn multiplexed_sessions_match_sequential_reports() {
-    let spec = specstrom::load(quickstrom::specs::COUNTER).expect("spec compiles");
-    let run = |options: CheckOptions| {
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(Counter::new))
-        })
-        .expect("no protocol errors")
-    };
-    let sequential = run(quick_options().with_pipeline(PipelineMode::Off));
-    for (jobs, multiplex) in [(1usize, 4usize), (2, 2), (2, 4), (4, 1)] {
-        let pipelined = run(quick_options().with_jobs(jobs).with_multiplex(multiplex));
-        assert_eq!(
-            pipelined, sequential,
-            "jobs {jobs} × multiplex {multiplex} diverged from sequential"
-        );
-    }
+bundled_tests! {
+    check;
+    counter_spec_verdicts_pipeline_invariant: Counter,
+    menu_spec_verdicts_pipeline_invariant: Menu,
+    egg_timer_spec_verdicts_pipeline_invariant: EggTimer,
+    todomvc_spec_verdicts_pipeline_invariant: TodoMvc,
+    bigtable_spec_verdicts_pipeline_invariant: BigTable,
+    wizard_spec_verdicts_pipeline_invariant: Wizard,
 }
 
-/// The faulty-entry case, shrinker on: the counterexample search runs on
-/// the pipelined runtime (shrink replays themselves always run on the
-/// sequential engine — they are scripted, with nothing to overlap), and
-/// the shrunk script, per-state trace and verdict must match the
-/// sequential engine exactly.
 #[test]
 fn faulty_entry_shrinks_identically_across_pipeline_modes() {
-    let spec = specstrom::load(quickstrom::specs::TODOMVC).expect("spec compiles");
-    let options = CheckOptions::default()
-        .with_tests(30)
-        .with_max_actions(40)
-        .with_default_demand(30)
-        .with_seed(20220322)
-        .with_shrink(true);
-    let run = |pipeline: PipelineMode| {
-        let options = options.clone().with_pipeline(pipeline);
-        check_spec(&spec, &options, &|| {
-            Box::new(WebExecutor::new(|| {
-                TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared])
-            }))
-        })
-        .expect("no protocol errors")
-    };
-    let pipelined = run(PipelineMode::On);
-    let sequential = run(PipelineMode::Off);
-    assert_eq!(pipelined, sequential);
-    assert!(!pipelined.passed(), "the faulty app must fail");
-    let cx_p = pipelined.properties[0].counterexample().expect("cx");
-    let cx_s = sequential.properties[0].counterexample().expect("cx");
-    assert!(cx_p.shrunk, "the shrinker ran");
-    assert_eq!(cx_p.script, cx_s.script);
-    assert_eq!(cx_p.trace, cx_s.trace);
-    assert_eq!(cx_p.verdict, cx_s.verdict);
+    check_faulty(&pipeline_rows());
 }
 
-/// The whole 43-entry registry, crossed over the checker's runtime knobs:
-/// entry `i` runs under combination `i % 24` of jobs 1/2 × multiplex 1/3
-/// × delta/full snapshots × automaton/stepper evaluation ×
-/// value/footprint/off atom caching, pipelined and sequential, and the
-/// two engines must agree on verdicts, state counts and atom demand for
-/// every entry.
 #[test]
 fn registry_sweep_agrees_across_pipeline_jobs_snapshots_engines_and_caches() {
-    let base = CheckOptions::default()
-        .with_tests(3)
-        .with_max_actions(25)
-        .with_default_demand(25)
-        .with_seed(11)
-        .with_shrink(false);
-    let mut speculation_discards = 0u64;
-    for (i, entry) in quickstrom::quickstrom_apps::REGISTRY.iter().enumerate() {
-        let jobs = 1 + (i % 2);
-        let multiplex = if (i / 2) % 2 == 0 { 1 } else { 3 };
-        let snapshot = if (i / 4) % 2 == 0 {
-            SnapshotMode::Delta
-        } else {
-            SnapshotMode::Full
-        };
-        let eval = if (i / 8) % 2 == 0 {
-            EvalMode::Automaton
-        } else {
-            EvalMode::Stepper
-        };
-        let cache = [
-            AtomCacheMode::Value,
-            AtomCacheMode::Footprint,
-            AtomCacheMode::Off,
-        ][(i / 16) % 3];
-        let options = base
-            .clone()
-            .with_jobs(jobs)
-            .with_multiplex(multiplex)
-            .with_eval_mode(eval)
-            .with_atom_cache(cache);
-        let pipelined = check_entry_mode(
-            entry,
-            &options.clone().with_pipeline(PipelineMode::On),
-            snapshot,
-        );
-        let sequential =
-            check_entry_mode(entry, &options.with_pipeline(PipelineMode::Off), snapshot);
-        assert_eq!(
-            (pipelined.passed, pipelined.states),
-            (sequential.passed, sequential.states),
-            "{} (jobs {jobs}, multiplex {multiplex}, {snapshot:?}, {eval:?}, \
-             {cache:?}) diverged between pipelined and sequential",
-            entry.name
-        );
-        // Atom demand is cache-warmth-invariant (the registry shares one
-        // compiled spec, so memo/table *hit* counts are not comparable
-        // between the two calls — demand is).
-        assert_eq!(
-            pipelined.atoms_total, sequential.atoms_total,
-            "{}: the pipelined evaluator requested a different atom set",
-            entry.name
-        );
-        assert_eq!(
-            sequential.pipeline_depth, 0,
-            "{}: sequential engine reported a pipeline",
-            entry.name
-        );
-        speculation_discards += pipelined.speculative_states_discarded;
-    }
-    // The sweep includes failing entries whose verdicts land mid-run, so
-    // speculation must actually have been truncated somewhere (otherwise
-    // the pin above is vacuous).
-    assert!(
-        speculation_discards > 0,
-        "no speculative states were ever discarded across the registry"
-    );
+    check_registry(0);
 }
 
-/// The step-memo differential: `--step-memo on` ≡ `off`.
-///
-/// The whole-transition step memo (`CheckOptions::step_memo`) answers
-/// automaton steps from a `(state, bindings signature, state signature)`
-/// cache, skipping atom expansion, observation and the table step — but
-/// replays the exact expansion-count deltas the full step would have
-/// produced. So verdicts, traces and every atom counter must match an
-/// unmemoized engine bit-for-bit. `ltl_table_hits` is the one deliberate
-/// exception — a replay counts as a hit even when the unmemoized step
-/// would have re-interned a structurally novel observation of the same
-/// transition (see `PhaseTimings::step_memo_hits`) — so it is asserted
-/// close, not equal.
-fn assert_step_memo_invisible<A, F>(
-    source: &str,
-    make_app: F,
-    options: &CheckOptions,
-) -> (Report, Report)
-where
-    A: App + 'static,
-    F: Fn() -> A + Send + Sync + Clone + 'static,
-{
-    let run = |step_memo: bool| {
-        // A fresh spec per engine, as above: the memo hangs off the spec.
-        let spec = specstrom::load(source).expect("bundled spec compiles");
-        let make_app = make_app.clone();
-        let options = options.clone().with_step_memo(step_memo);
-        check_spec(&spec, &options, &move || {
-            Box::new(WebExecutor::new(make_app.clone()))
+/// The speculation window bounds how far the driver can run past the
+/// canonical stop point, so the shape of speculation differs wildly
+/// between depth 1 (near-lockstep), 4 and 64 (the driver can race a whole
+/// run ahead) — but the evaluator discards the speculative tail
+/// unprocessed, so every depth must produce the oracle's report.
+#[test]
+fn speculation_depth_never_leaks_into_reports() {
+    let rows: Vec<Row> = [1, 4, 64]
+        .into_iter()
+        .map(|depth| Row {
+            runtime: Runtime::Pipelined { depth },
+            ..SEQUENTIAL
         })
-        .expect("no protocol errors")
-    };
-    let memoized = run(true);
-    let unmemoized = run(false);
+        .collect();
+    check_bundled(Bundled::TodoMvc, &rows);
+}
+
+/// Several in-flight sessions per worker, with and without extra
+/// workers: slot-ordered retirement keeps the merged report equal to the
+/// oracle's for every (jobs, multiplex) combination.
+#[test]
+fn multiplexed_sessions_match_sequential_reports() {
+    let rows: Vec<Row> = [(1, 4), (2, 2), (2, 4), (4, 1)]
+        .into_iter()
+        .map(|(jobs, width)| Row {
+            jobs,
+            runtime: Runtime::Multiplexed { width },
+            ..SEQUENTIAL
+        })
+        .collect();
+    check_bundled(Bundled::Counter, &rows);
+}
+
+/// Checks `case` cold and then warm on one compiled spec at jobs 1. The
+/// cold pass must reproduce the oracle's report; the warm pass, answered
+/// mostly by step-memo replays, must reproduce the cold pass's report,
+/// atom demand and automaton size. Returns the warm pass's report.
+fn assert_step_memo_replays_exact(case: &Case) -> Report {
+    let spec = quickstrom::specstrom::load(case.spec).expect("bundled spec compiles");
+    let cold = case.run_on(&spec, &[SEQUENTIAL]).rows.remove(0).1;
+    let warm = case.check(&spec, &SEQUENTIAL);
     assert_eq!(
-        memoized, unmemoized,
-        "step-memo vs unmemoized reports diverged"
+        warm, cold,
+        "{}: the warm pass changed the report",
+        case.name
     );
-    let m = memoized.timings();
-    let u = unmemoized.timings();
-    assert_eq!(u.step_memo_hits, 0, "unmemoized engine reported memo hits");
-    assert_eq!(m.atoms_total, u.atoms_total, "atom demand diverged");
-    assert_eq!(
-        m.atoms_reevaluated, u.atoms_reevaluated,
-        "atom re-evaluation diverged"
-    );
-    assert_eq!(m.atom_memo_hits, u.atom_memo_hits, "memo hits diverged");
-    assert_eq!(
-        m.atom_memo_misses, u.atom_memo_misses,
-        "memo misses diverged"
-    );
-    assert_eq!(m.ltl_states, u.ltl_states, "interned state count diverged");
-    // Replays may claim a sliver more table hits than the unmemoized
-    // engine records (never fewer, and never more than the replay count).
+    let (c, w) = (cold.timings(), warm.timings());
+    assert_eq!(w.atoms_total, c.atoms_total, "replays changed atom demand");
+    assert_eq!(w.ltl_states, c.ltl_states, "replays interned new states");
     assert!(
-        m.ltl_table_hits >= u.ltl_table_hits
-            && m.ltl_table_hits - u.ltl_table_hits <= m.step_memo_hits,
-        "table hits out of the documented envelope: memoized {} vs \
-         unmemoized {} with {} replays",
-        m.ltl_table_hits,
-        u.ltl_table_hits,
-        m.step_memo_hits,
+        w.step_memo_hits > c.step_memo_hits,
+        "the warm pass was not answered by the step memo ({} vs {} hits)",
+        w.step_memo_hits,
+        c.step_memo_hits
     );
-    (memoized, unmemoized)
+    let states: usize = warm.properties.iter().map(|p| p.states_total).sum();
+    assert!(
+        2 * w.step_memo_hits > states as u64,
+        "replays answered only {} of {states} warm steps",
+        w.step_memo_hits
+    );
+    for t in [c, w] {
+        assert_eq!(t.atom_memo_hits + t.atom_memo_misses, t.atoms_total);
+    }
+    warm
 }
 
 #[test]
 fn todomvc_step_memo_is_invisible() {
-    let entry = registry::by_name("vue").expect("registry entry");
-    let (memoized, _) = assert_step_memo_invisible(
-        quickstrom::specs::TODOMVC,
-        || entry.build(),
-        &quick_options().with_default_demand(40).with_max_actions(50),
-    );
-    assert!(
-        memoized.timings().step_memo_hits > 0,
-        "the step memo never fired"
-    );
+    assert_step_memo_replays_exact(&Bundled::TodoMvc.case());
 }
 
-#[test]
-fn counter_step_memo_is_invisible_with_atom_cache_off() {
-    let (memoized, _) = assert_step_memo_invisible(
-        quickstrom::specs::COUNTER,
-        Counter::new,
-        &quick_options().with_atom_cache(AtomCacheMode::Off),
-    );
-    assert!(
-        memoized.timings().step_memo_hits > 0,
-        "the step memo never fired"
-    );
-}
-
-/// Shrinking on the faulty entry, step memo on vs off: replay runs warm
-/// the shared memo but their counters are excluded
-/// (`PhaseTimings::reset_for_replay`), and the shrunk script must come
-/// out identical either way.
+/// Shrink replays warm the shared memos too, but their counters are
+/// excluded from the totals, and the warm pass must shrink to the same
+/// counterexample.
 #[test]
 fn faulty_entry_shrinks_identically_across_step_memo_modes() {
-    let (memoized, unmemoized) = assert_step_memo_invisible(
-        quickstrom::specs::TODOMVC,
-        || TodoMvc::with_faults([quickstrom::quickstrom_apps::Fault::PendingCleared]),
-        &CheckOptions::default()
-            .with_tests(30)
-            .with_max_actions(40)
-            .with_default_demand(30)
-            .with_seed(20220322)
-            .with_shrink(true),
-    );
-    assert!(!memoized.passed(), "the faulty app must fail");
-    let cx_m = memoized.properties[0].counterexample().expect("cx");
-    let cx_u = unmemoized.properties[0].counterexample().expect("cx");
-    assert!(cx_m.shrunk, "the shrinker ran");
-    assert_eq!(cx_m.script, cx_u.script);
-    assert_eq!(cx_m.trace, cx_u.trace);
-    assert_eq!(cx_m.verdict, cx_u.verdict);
-}
-
-/// The footprint cache opts out of the step memo implicitly (its served
-/// expansions are footprint-revalidated, not value-keyed, so no state
-/// signature exists to key a transition by) — the switch must be a no-op
-/// there rather than a footgun.
-#[test]
-fn footprint_cache_never_engages_the_step_memo() {
-    let spec = specstrom::load(quickstrom::specs::COUNTER).expect("spec compiles");
-    let options = quick_options()
-        .with_atom_cache(AtomCacheMode::Footprint)
-        .with_step_memo(true);
-    let report = check_spec(&spec, &options, &|| {
-        Box::new(WebExecutor::new(Counter::new))
-    })
-    .expect("no protocol errors");
-    assert_eq!(report.timings().step_memo_hits, 0);
+    let warm = assert_step_memo_replays_exact(&faulty_case());
+    assert!(!warm.passed(), "the faulty app must fail");
+    let cx = warm.properties[0]
+        .counterexample()
+        .expect("a counterexample");
+    assert!(cx.shrunk, "the shrinker ran");
 }

@@ -37,7 +37,8 @@
 //! holds. The hard action cap bounds that speculation absolutely.
 //! The `differential_pipeline` suite pins Report equality against the
 //! reference checker (sequential, plain stepper) across all bundled
-//! specs, the registry, jobs, snapshot modes and pipeline depths.
+//! specs, the registry, jobs, snapshot modes and pipeline depths, and at
+//! jobs 1 the sequential engine's evaluation counters.
 //!
 //! ## Multiplexing
 //!
@@ -773,15 +774,7 @@ pub(crate) fn run_one_pipelined(
     let shared = Arc::new(PipeShared::new());
     let (tx, rx) = mpsc::sync_channel(options.pipeline_depth.max(1));
     let mut stage = EvalStage::new(
-        Run::new(
-            spec,
-            check,
-            property_name,
-            property,
-            options,
-            Role::Evaluator,
-        )
-        .with_obs(
+        Run::new(spec, check, property_name, property, options, obs.role).with_obs(
             obs.sink(2 * index as u64 + 1, || format!("run {index} · evaluator")),
             obs.recorder(),
         ),
@@ -886,20 +879,13 @@ pub(crate) fn run_batch_pipelined<'env>(
                             let (tx, rx) = mpsc::sync_channel(options.pipeline_depth.max(1));
                             let run_index = base + slot;
                             let stage = EvalStage::new(
-                                Run::new(
-                                    spec,
-                                    check,
-                                    property_name,
-                                    property,
-                                    options,
-                                    Role::Evaluator,
-                                )
-                                .with_obs(
-                                    obs.sink(2 * run_index as u64 + 1, || {
-                                        format!("run {run_index} · evaluator")
-                                    }),
-                                    obs.recorder(),
-                                ),
+                                Run::new(spec, check, property_name, property, options, obs.role)
+                                    .with_obs(
+                                        obs.sink(2 * run_index as u64 + 1, || {
+                                            format!("run {run_index} · evaluator")
+                                        }),
+                                        obs.recorder(),
+                                    ),
                                 rx,
                                 Arc::clone(&shared),
                             );
