@@ -1,21 +1,19 @@
-//! The atom-expansion micro-benchmark: generic IR walk vs the compiled
-//! atom evaluator vs a warm memo hit.
+//! The atom-expansion micro-benchmark: the IR interpreter vs a warm memo
+//! hit.
 //!
 //! One sample expands the TodoMVC safety invariants against a realistic
-//! `loaded?` snapshot, three ways:
+//! `loaded?` snapshot, two ways:
 //!
-//! * `atom_expand_generic` — the full IR interpreter (`expand_thunk`),
-//!   what the reference checker pays for every requested atom.
-//! * `atom_expand_compiled` — the `specstrom::atomc` lowering: a
-//!   closure-free specialized evaluator when the atom's shape is on the
-//!   fast path, the generic walk otherwise. This is the memo-miss cost.
+//! * `atom_expand_generic` — the IR interpreter (`expand_thunk`), what
+//!   the reference checker pays for every requested atom and what the
+//!   production checker pays on a memo miss.
 //! * `atom_expand_memo_hit` — the warm path: hash the atom's
 //!   footprint-restricted projection of the state and look the expansion
 //!   up in the value-keyed memo. No IR runs at all; this is what repeat
 //!   states cost.
 //!
-//! The three are pinned semantically by `differential_atom_memo`; this
-//! benchmark quantifies the gaps the DESIGN.md *Atom expansion
+//! The two are pinned semantically by `differential_atom_memo`; this
+//! benchmark quantifies the gap the DESIGN.md *Atom expansion
 //! memoization* section cites.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,8 +21,7 @@ use quickstrom::prelude::*;
 use quickstrom::quickstrom_apps::registry;
 use quickstrom::quickstrom_protocol::{masked_query_term, CheckerMsg, ExecutorMsg, ProjectionHash};
 use quickstrom::specstrom::{
-    self, compile_atom, footprint_of_thunk, AtomFootprint, AtomKeyer, AtomMemo, CompiledAtom,
-    EvalCtx, MemoEntry, Thunk,
+    self, footprint_of_thunk, AtomFootprint, AtomKeyer, AtomMemo, EvalCtx, MemoEntry, Thunk,
 };
 use quickstrom_bench::todomvc_spec;
 
@@ -95,13 +92,6 @@ fn bench_atom_expand(c: &mut Criterion) {
         .map(|name| spec.property_thunk(name).expect("safety atom exists"))
         .collect();
 
-    let compiled: Vec<CompiledAtom> = atoms.iter().map(compile_atom).collect();
-    let fast = compiled.iter().filter(|ca| ca.is_fast()).count();
-    eprintln!(
-        "atom_expand: {fast}/{} safety atoms on the compiled fast path",
-        compiled.len()
-    );
-
     c.bench_function("atom_expand_generic", |b| {
         b.iter(|| {
             let ctx = EvalCtx::with_state(&state, 100);
@@ -109,15 +99,6 @@ fn bench_atom_expand(c: &mut Criterion) {
                 std::hint::black_box(
                     specstrom::expand_thunk(atom, &ctx).expect("expansion succeeds"),
                 );
-            }
-        });
-    });
-
-    c.bench_function("atom_expand_compiled", |b| {
-        b.iter(|| {
-            let ctx = EvalCtx::with_state(&state, 100);
-            for (atom, ca) in atoms.iter().zip(&compiled) {
-                std::hint::black_box(ca.expand(atom, &ctx).expect("expansion succeeds"));
             }
         });
     });

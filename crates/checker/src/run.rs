@@ -33,8 +33,8 @@ use quickstrom_protocol::{
 };
 use rand::rngs::StdRng;
 use specstrom::{
-    eval_guard, expand_thunk, ActionValue, AtomFootprint, AtomKeyer, CheckDef, CompiledAtom,
-    CompiledSpec, EvalCtx, MemoEntry, PropertyCache, StepEntry, StepNext, Thunk,
+    eval_guard, expand_thunk, ActionValue, AtomFootprint, AtomKeyer, CheckDef, CompiledSpec,
+    EvalCtx, MemoEntry, PropertyCache, StepEntry, StepNext, Thunk,
 };
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
@@ -42,10 +42,10 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Per-run semantic record for one distinct atom (keyed by
-/// [`Thunk::identity`]): its cross-run semantic key, static footprint and
-/// compiled evaluator, computed once on first sight. Holding `atom` pins
-/// the pointers both the identity key and the semantic key hashed, so
-/// neither can be reused by a different thunk while the record lives.
+/// [`Thunk::identity`]): its cross-run semantic key and static footprint,
+/// computed once on first sight. Holding `atom` pins the pointers both the
+/// identity key and the semantic key hashed, so neither can be reused by a
+/// different thunk while the record lives.
 struct AtomRecord {
     /// The atom this record describes (pins its pointers).
     #[allow(dead_code)] // held for the pinning guarantee above
@@ -55,12 +55,9 @@ struct AtomRecord {
     /// shrink replays even when runtime frames differ by address.
     key: u64,
     /// The static over-approximation of what the atom can read, shared
-    /// through the property-level memo ([`AtomMemo::compile_info`]): one
+    /// through the property-level memo ([`AtomMemo::footprint`]): one
     /// analysis per distinct semantic atom, not per thunk identity.
     footprint: Arc<AtomFootprint>,
-    /// The atom's specialized evaluator (or the generic-walk fallback),
-    /// shared the same way.
-    compiled: Arc<CompiledAtom>,
 }
 
 /// What the expansion closure served: a freshly expanded formula, or a
@@ -695,12 +692,10 @@ impl<'a> Run<'a> {
             };
             let record = records.entry(thunk.identity()).or_insert_with(|| {
                 let key = keyer.key(thunk);
-                let (footprint, compiled) = memo.compile_info(key, thunk);
                 AtomRecord {
                     atom: thunk.clone(),
                     key,
-                    footprint,
-                    compiled,
+                    footprint: memo.footprint(key, thunk),
                 }
             });
             let projection = projection_hash(&record.footprint, state_ref, masks, projection_terms);
@@ -712,7 +707,7 @@ impl<'a> Run<'a> {
                 // 128-bit key collision would trip this before it could
                 // corrupt a verdict.
                 if cfg!(debug_assertions) {
-                    let fresh = record.compiled.expand(thunk, &ctx)?;
+                    let fresh = expand_thunk(thunk, &ctx)?;
                     debug_assert!(
                         entry.matches_expansion(&fresh),
                         "atom memo collision: key {key:?} served a structurally \
@@ -723,7 +718,7 @@ impl<'a> Run<'a> {
             }
             *memo_misses += 1;
             *atoms_reevaluated += 1;
-            let expansion = record.compiled.expand(thunk, &ctx)?;
+            let expansion = expand_thunk(thunk, &ctx)?;
             *memo_evictions += memo.insert(key, MemoEntry::build(thunk.clone(), expansion.clone()));
             Ok(Served::Formula(expansion))
         };

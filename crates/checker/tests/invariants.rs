@@ -1,12 +1,16 @@
 //! Checker invariants: determinism under a fixed seed, shrink soundness
 //! (a shrunk counterexample still fails and is no larger), stop-at-first-
-//! failure, and verdict classification.
+//! failure, verdict classification, and malformed executor updates ending
+//! the check with an error.
 
 use quickstrom_apps::todomvc::{Fault, TodoMvc};
 use quickstrom_apps::Counter;
-use quickstrom_checker::{check_property, check_spec, CheckOptions, RunResult};
+use quickstrom_checker::{check_property, check_spec, CheckOptions, PipelineMode, RunResult};
 use quickstrom_executor::WebExecutor;
-use quickstrom_protocol::Executor;
+use quickstrom_protocol::{
+    CheckerMsg, ElementState, Executor, ExecutorMsg, QueryDelta, SnapshotDelta, StateSnapshot,
+    StateUpdate,
+};
 
 const COUNTER_SPEC: &str = r#"
     let ~count = parseInt(`#count`.text);
@@ -156,4 +160,72 @@ fn action_and_state_totals_accumulate() {
     let prop = &report.properties[0];
     // Every run contributes its loaded? state plus one per action.
     assert_eq!(prop.states_total, prop.actions_total + prop.runs.len());
+}
+
+/// An executor that answers `Start` with `loaded` and every `Act` with
+/// `acted`.
+struct Scripted {
+    loaded: StateUpdate,
+    acted: StateUpdate,
+}
+
+impl Executor for Scripted {
+    fn send(&mut self, msg: CheckerMsg) -> Vec<ExecutorMsg> {
+        match msg {
+            CheckerMsg::Start { .. } => {
+                vec![ExecutorMsg::event(
+                    "loaded?",
+                    Vec::new(),
+                    self.loaded.clone(),
+                )]
+            }
+            CheckerMsg::Act { .. } => vec![ExecutorMsg::acted(self.acted.clone())],
+            CheckerMsg::Wait { .. } | CheckerMsg::End => Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn malformed_deltas_are_check_errors_on_both_runtimes() {
+    let spec =
+        specstrom::load("let ~p = always (`#a`.text == \"x\");\ncheck p with noop!;").unwrap();
+    let mut base = StateSnapshot::new();
+    base.insert_query("#a", vec![ElementState::with_text("x")]);
+    // A delta that keeps `#a` at `len` elements without editing any.
+    let delta = |state_version, len| -> StateUpdate {
+        let mut delta = SnapshotDelta::diff(&base, &base, state_version);
+        let edits = QueryDelta::Edits {
+            len,
+            changed: Vec::new(),
+        };
+        delta.changes.insert("#a".into(), edits);
+        delta.into()
+    };
+    let cases = [
+        // What a corrupt 49-byte reply batch decodes to.
+        (
+            base.clone().into(),
+            delta(2, u32::MAX as usize),
+            "no element for added position 1",
+        ),
+        // State version 2 never arrives.
+        (base.clone().into(), delta(3, 1), "state version 3"),
+        // No full snapshot precedes the first delta.
+        (delta(1, 1), delta(2, 1), "before any full snapshot"),
+    ];
+    for (loaded, acted, message) in &cases {
+        for pipeline in [PipelineMode::On, PipelineMode::Off] {
+            let options = options(0).with_tests(2).with_pipeline(pipeline);
+            let make = || -> Box<dyn Executor> {
+                Box::new(Scripted {
+                    loaded: loaded.clone(),
+                    acted: acted.clone(),
+                })
+            };
+            match check_spec(&spec, &options, &make) {
+                Err(e) => assert!(e.message.contains(message), "{pipeline}: {e}"),
+                Ok(report) => panic!("{pipeline}: expected `{message}`, got {report:?}"),
+            }
+        }
+    }
 }

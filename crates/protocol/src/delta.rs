@@ -28,7 +28,7 @@
 use crate::intern::Symbol;
 use crate::snapshot::{ElementState, Selector, StateSnapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -245,7 +245,8 @@ impl SnapshotDelta {
     /// # Errors
     ///
     /// [`DeltaError::UnknownFormat`] for a version this process does not
-    /// speak, [`DeltaError::IndexOutOfRange`] for malformed edit lists.
+    /// speak, [`DeltaError::IndexOutOfRange`] and
+    /// [`DeltaError::MissingAddition`] for malformed edit lists.
     pub fn apply(&self, base: &StateSnapshot) -> Result<StateSnapshot, DeltaError> {
         if self.format != DELTA_FORMAT_VERSION {
             return Err(DeltaError::UnknownFormat(self.format));
@@ -257,14 +258,27 @@ impl SnapshotDelta {
                     queries.remove(sel);
                 }
                 QueryDelta::Edits { len, changed } => {
+                    let base_results = base.queries.get(sel).map_or(&[][..], |r| r.as_slice());
+                    // Each position past the base needs its own edit, so a
+                    // longer list has an uncovered addition. Reject it
+                    // before `len`, which comes off the wire, sizes the
+                    // allocation below.
+                    if *len > base_results.len() + changed.len() {
+                        let covered: HashSet<usize> = changed.iter().map(|(i, _)| *i).collect();
+                        let index = (base_results.len()..)
+                            .find(|i| !covered.contains(i))
+                            .expect("fewer edits than added positions");
+                        return Err(DeltaError::MissingAddition {
+                            selector: *sel,
+                            index,
+                        });
+                    }
                     // Prefill with the base's elements; positions past the
                     // base length are *additions* and must be covered by
                     // an edit — fabricating default element state for a
                     // dropped edit would hand the evaluator invented data.
-                    let mut list: Vec<Option<ElementState>> = match base.queries.get(sel) {
-                        Some(results) => results.iter().take(*len).cloned().map(Some).collect(),
-                        None => Vec::new(),
-                    };
+                    let mut list: Vec<Option<ElementState>> =
+                        base_results.iter().take(*len).cloned().map(Some).collect();
                     list.resize_with(*len, || None);
                     for (index, elem) in changed {
                         let slot = list.get_mut(*index).ok_or(DeltaError::IndexOutOfRange {
@@ -600,6 +614,22 @@ mod tests {
             Err(DeltaError::MissingAddition {
                 selector: Selector::new("#a"),
                 index: 2,
+            })
+        );
+        // A declared length no edit list could cover is refused before
+        // anything is allocated for it.
+        bad.changes.insert(
+            Selector::new("#a"),
+            QueryDelta::Edits {
+                len: u32::MAX as usize,
+                changed: Vec::new(),
+            },
+        );
+        assert_eq!(
+            bad.apply(&base),
+            Err(DeltaError::MissingAddition {
+                selector: Selector::new("#a"),
+                index: 1,
             })
         );
     }

@@ -682,9 +682,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checker_msgs_round_trip() {
-        let msgs = [
+    /// One checker message of every variant (and every action-kind
+    /// payload shape).
+    fn checker_msgs() -> Vec<CheckerMsg> {
+        vec![
             CheckerMsg::Start {
                 dependencies: vec![Selector::new(".todo-list li"), Selector::new(".toggle")],
             },
@@ -716,16 +717,12 @@ mod tests {
                 version: 3,
             },
             CheckerMsg::End,
-        ];
-        for msg in msgs {
-            let bytes = encode_checker_msg(&msg);
-            assert_eq!(decode_checker_msg(&bytes).unwrap(), msg);
-        }
+        ]
     }
 
-    #[test]
-    fn executor_batches_round_trip() {
-        let batch = vec![
+    /// One executor message of every variant, carrying both update forms.
+    fn executor_batch() -> Vec<ExecutorMsg> {
+        vec![
             ExecutorMsg::event(
                 "loaded?",
                 vec![Selector::new(".todo-list li")],
@@ -733,7 +730,20 @@ mod tests {
             ),
             ExecutorMsg::acted(StateUpdate::Delta(delta())),
             ExecutorMsg::timeout(StateUpdate::Full(snapshot())),
-        ];
+        ]
+    }
+
+    #[test]
+    fn checker_msgs_round_trip() {
+        for msg in checker_msgs() {
+            let bytes = encode_checker_msg(&msg);
+            assert_eq!(decode_checker_msg(&bytes).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn executor_batches_round_trip() {
+        let batch = executor_batch();
         let bytes = encode_executor_batch(&batch);
         assert_eq!(decode_executor_batch(&bytes).unwrap(), batch);
         // The empty batch (a stale Act's reply) is a valid frame too.
@@ -792,6 +802,58 @@ mod tests {
             read_frame(&mut &huge[..]),
             Err(WireError::Oversized(_))
         ));
+    }
+
+    #[test]
+    fn decoding_is_total_on_corrupted_and_random_bytes() {
+        // SplitMix64: a reproducible, dependency-free random source.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let batch = executor_batch();
+        let mut seeds: Vec<Vec<u8>> = checker_msgs().iter().map(encode_checker_msg).collect();
+        seeds.extend(
+            batch
+                .iter()
+                .map(|m| encode_executor_batch(std::slice::from_ref(m))),
+        );
+        seeds.push(encode_executor_batch(&batch));
+        let base = snapshot();
+        let mut resolved = 0;
+        for _ in 0..250_000 {
+            // A quarter random bytes; the rest valid encodings with one to
+            // four bits flipped, a third of those also truncated.
+            let bytes: Vec<u8> = match next() % 4 {
+                0 => (0..next() % 96).map(|_| next() as u8).collect(),
+                mode => {
+                    let mut bytes = seeds[(next() % seeds.len() as u64) as usize].clone();
+                    for _ in 0..=next() % 4 {
+                        let bit = (next() % (bytes.len() as u64 * 8)) as usize;
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    if mode == 1 {
+                        bytes.truncate((next() % (bytes.len() as u64 + 1)) as usize);
+                    }
+                    bytes
+                }
+            };
+            // Either decoder may reject the bytes; neither may panic. A
+            // decoded update is wire input too: resolving it may fail but
+            // must not panic or allocate what its lengths claim.
+            let _ = decode_checker_msg(&bytes);
+            if let Ok(batch) = decode_executor_batch(&bytes) {
+                for msg in &batch {
+                    let _ = msg.update().resolve(Some(&base));
+                    let _ = msg.update().resolve(None);
+                    resolved += 1;
+                }
+            }
+        }
+        assert!(resolved > 100, "only {resolved} corrupted updates decoded");
     }
 
     #[test]

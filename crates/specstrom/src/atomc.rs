@@ -1,30 +1,21 @@
-//! Atom compilation and value-keyed expansion memoization.
+//! Value-keyed atom expansion memoization.
 //!
 //! Formula progression expands every live atom at every observed state —
 //! millions of [`Thunk`] evaluations over a registry sweep, even though a
 //! typical sweep only ever *visits* a few hundred distinct states. This
-//! module removes that redundancy at two levels:
-//!
-//! 1. **Value-keyed memoization.** An atom's expansion is a pure function
-//!    of (a) the atom itself — its compiled code and captured environment —
-//!    and (b) the slice of the state its footprint can read
-//!    ([`crate::analysis::AtomFootprint`]). [`AtomKeyer`] hashes (a) into a
-//!    *semantic* atom key: the IR node by address (compiled once, stable
-//!    for the specification's lifetime) and the environment chain by
-//!    *content*, so the fresh frames each run's evaluation builds hash
-//!    equal whenever they bind equal values. The checker pairs that key
-//!    with a projection hash of (b) and looks the expansion up in a
-//!    property-level [`AtomMemo`] shared across runs, workers, and shrink
-//!    replays (one of the three caches a
-//!    [`PropertyCache`](crate::spec::PropertyCache) owns).
-//! 2. **Compiled evaluators.** [`compile_atom`] lowers the common atom
-//!    shapes — selector projections, comparisons, first-order builtin
-//!    calls — into a closure-free [`CompiledExpr`] with selectors and
-//!    bindings pre-resolved, so a memo *miss* skips the generic
-//!    environment-walking interpreter too. Anything the lowering does not
-//!    cover falls back to [`crate::eval::eval`] unchanged; both paths call
-//!    the same value-level kernels (`member`, `compare`, `arith`,
-//!    `apply_builtin`, …), so they cannot drift apart semantically.
+//! module removes that redundancy. An atom's expansion is a pure function
+//! of (a) the atom itself — its compiled code and captured environment —
+//! and (b) the slice of the state its footprint can read
+//! ([`crate::analysis::AtomFootprint`]). [`AtomKeyer`] hashes (a) into a
+//! *semantic* atom key: the IR node by address (compiled once, stable for
+//! the specification's lifetime) and the environment chain by *content*,
+//! so the fresh frames each run's evaluation builds hash equal whenever
+//! they bind equal values. The checker pairs that key with a projection
+//! hash of (b) and looks the expansion up in a property-level [`AtomMemo`]
+//! shared across runs, workers, and shrink replays (one of the three
+//! caches a [`PropertyCache`](crate::spec::PropertyCache) owns). A miss
+//! expands the atom with [`crate::eval::expand_thunk`], the interpreter
+//! every other consumer (and the reference checker) uses.
 //!
 //! Correctness story: memo keys are hashes, so two different projections
 //! could in principle collide. Debug builds re-expand on every hit and
@@ -38,17 +29,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use quickltl::Formula;
-use quickstrom_protocol::{sym, ProjectionHash, Selector, Symbol};
+use quickstrom_protocol::{ProjectionHash, Selector};
 
 use crate::analysis::{footprint_of_thunk, AtomFootprint};
-use crate::ast::{BinOp, Span, UnOp};
-use crate::compile::Ir;
-use crate::error::EvalError;
-use crate::eval::{
-    apply_builtin, as_logical, binary_values, element_field, element_record, expand_thunk,
-    index_value, lift, member, query, to_formula, unary_value, EvalCtx, Logical,
-};
-use crate::value::{Binding, Builtin, Env, Thunk, Value};
+use crate::value::{Binding, Env, Thunk, Value};
 
 // ---------------------------------------------------------------------------
 // Semantic atom keys
@@ -269,429 +253,6 @@ impl AtomKeyer {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled atom evaluators
-// ---------------------------------------------------------------------------
-
-/// A closed, closure-free expression compiled from an atom's IR: variable
-/// references are resolved through the captured environment at compile
-/// time, selector projections become pre-resolved snapshot-slot reads, and
-/// operators evaluate through the same value-level kernels as the generic
-/// interpreter.
-#[derive(Debug)]
-pub enum CompiledExpr {
-    /// A pre-resolved constant (literal, or an eager binding's value).
-    Const(Value),
-    /// The `happened` state variable.
-    Happened,
-    /// `` `sel`.count `` — a pre-resolved element-count read.
-    QueryCount(Selector, Span),
-    /// `` `sel`.present `` — a pre-resolved presence read.
-    QueryPresent(Selector, Span),
-    /// `` `sel`.all `` — every matched element as a record.
-    QueryAll(Selector, Span),
-    /// `` `sel`.field `` — a first-element projection (`Null` when the
-    /// selector matches nothing).
-    QueryField(Selector, Symbol, Span),
-    /// `obj.field` on a computed base (record chains, null-lenient).
-    Member {
-        /// Base expression.
-        obj: Box<CompiledExpr>,
-        /// Interned field name.
-        field: Symbol,
-        /// Location, for error parity with the interpreter.
-        span: Span,
-    },
-    /// `xs[i]`.
-    Index {
-        /// Collection expression.
-        obj: Box<CompiledExpr>,
-        /// Index expression.
-        index: Box<CompiledExpr>,
-        /// Location.
-        span: Span,
-    },
-    /// `[a, b, c]`.
-    Array(Vec<CompiledExpr>),
-    /// A first-order builtin call with pre-resolved callee.
-    Call {
-        /// The builtin (never higher-order; arity checked at compile time).
-        builtin: Builtin,
-        /// Argument expressions, in order.
-        args: Vec<CompiledExpr>,
-    },
-    /// Unary operator application.
-    Unary {
-        /// The operator.
-        op: UnOp,
-        /// Operand.
-        expr: Box<CompiledExpr>,
-        /// Location.
-        span: Span,
-    },
-    /// A short-circuiting logical operator (`&&`, `||`, `==>`), with
-    /// boolean lifting exactly as in the interpreter.
-    Logic {
-        /// The operator (only `And`/`Or`/`Implies`).
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<CompiledExpr>,
-        /// Right operand.
-        rhs: Box<CompiledExpr>,
-        /// Left operand's source span (for lifting errors).
-        lhs_span: Span,
-        /// Right operand's source span.
-        rhs_span: Span,
-    },
-    /// A non-short-circuiting binary operator (comparisons, `in`,
-    /// arithmetic).
-    Binary {
-        /// The operator.
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<CompiledExpr>,
-        /// Right operand.
-        rhs: Box<CompiledExpr>,
-        /// Location.
-        span: Span,
-    },
-    /// `if c { … } else { … }`.
-    If {
-        /// Condition (must evaluate to a plain boolean).
-        cond: Box<CompiledExpr>,
-        /// Then branch.
-        then_branch: Box<CompiledExpr>,
-        /// Else branch.
-        else_branch: Box<CompiledExpr>,
-        /// Location.
-        span: Span,
-    },
-}
-
-impl CompiledExpr {
-    /// Evaluates the compiled expression against a state.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors the generic interpreter produces for the same
-    /// source expression — both paths share the value-level kernels.
-    pub fn eval(&self, ctx: &EvalCtx<'_>) -> Result<Value, EvalError> {
-        match self {
-            CompiledExpr::Const(v) => Ok(v.clone()),
-            CompiledExpr::Happened => {
-                let state = ctx.state()?;
-                Ok(Value::list(
-                    state
-                        .happened
-                        .iter()
-                        .map(|h| Value::str(h.as_str()))
-                        .collect(),
-                ))
-            }
-            CompiledExpr::QueryCount(sel, span) => {
-                let elements = query(ctx, sel, *span)?;
-                Ok(Value::Int(
-                    i64::try_from(elements.len()).unwrap_or(i64::MAX),
-                ))
-            }
-            CompiledExpr::QueryPresent(sel, span) => {
-                let elements = query(ctx, sel, *span)?;
-                Ok(Value::Bool(!elements.is_empty()))
-            }
-            CompiledExpr::QueryAll(sel, span) => {
-                let elements = query(ctx, sel, *span)?;
-                Ok(Value::list(elements.iter().map(element_record).collect()))
-            }
-            CompiledExpr::QueryField(sel, field, span) => {
-                let elements = query(ctx, sel, *span)?;
-                match elements.first() {
-                    None => Ok(Value::Null),
-                    Some(first) => element_field(first, *field).ok_or_else(|| {
-                        EvalError::at(*span, format!("unknown element projection `.{field}`"))
-                    }),
-                }
-            }
-            CompiledExpr::Member { obj, field, span } => {
-                let base = obj.eval(ctx)?;
-                member(base, *field, ctx, *span)
-            }
-            CompiledExpr::Index { obj, index, span } => {
-                let base = obj.eval(ctx)?;
-                let idx = index.eval(ctx)?;
-                index_value(base, idx, ctx, *span)
-            }
-            CompiledExpr::Array(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    // No function check: the compiler rejects function
-                    // constants, and no compiled node evaluates to one.
-                    out.push(item.eval(ctx)?);
-                }
-                Ok(Value::list(out))
-            }
-            CompiledExpr::Call { builtin, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(arg.eval(ctx)?);
-                }
-                apply_builtin(*builtin, values, ctx)
-            }
-            CompiledExpr::Unary { op, expr, span } => {
-                let v = expr.eval(ctx)?;
-                unary_value(*op, v, *span)
-            }
-            CompiledExpr::Logic {
-                op,
-                lhs,
-                rhs,
-                lhs_span,
-                rhs_span,
-            } => {
-                let l = as_logical(lhs.eval(ctx)?, *lhs_span)?;
-                match (op, l) {
-                    // Short circuit: the right operand is not evaluated.
-                    (BinOp::And, Logical::Plain(false)) => Ok(Value::Bool(false)),
-                    (BinOp::Or, Logical::Plain(true)) => Ok(Value::Bool(true)),
-                    (BinOp::Implies, Logical::Plain(false)) => Ok(Value::Bool(true)),
-                    (_, Logical::Plain(_)) => {
-                        let r = as_logical(rhs.eval(ctx)?, *rhs_span)?;
-                        Ok(match r {
-                            Logical::Plain(b) => Value::Bool(b),
-                            Logical::Lifted(f) => Value::Formula(f),
-                        })
-                    }
-                    (_, Logical::Lifted(f)) => {
-                        let r = lift(as_logical(rhs.eval(ctx)?, *rhs_span)?);
-                        Ok(Value::Formula(match op {
-                            BinOp::And => f.and(r),
-                            BinOp::Or => f.or(r),
-                            BinOp::Implies => f.implies(r),
-                            _ => unreachable!("logic ops only"),
-                        }))
-                    }
-                }
-            }
-            CompiledExpr::Binary { op, lhs, rhs, span } => {
-                let l = lhs.eval(ctx)?;
-                let r = rhs.eval(ctx)?;
-                binary_values(*op, l, r, *span)
-            }
-            CompiledExpr::If {
-                cond,
-                then_branch,
-                else_branch,
-                span,
-            } => {
-                let c = cond.eval(ctx)?;
-                match c {
-                    Value::Bool(true) => then_branch.eval(ctx),
-                    Value::Bool(false) => else_branch.eval(ctx),
-                    Value::Formula(_) => Err(EvalError::at(
-                        *span,
-                        "a temporal formula cannot be an `if` condition — conditions \
-                         are evaluated at a single state",
-                    )),
-                    other => Err(EvalError::at(
-                        *span,
-                        format!(
-                            "`if` condition must be a boolean, got {}",
-                            other.type_name()
-                        ),
-                    )),
-                }
-            }
-        }
-    }
-}
-
-/// The result of [`compile_atom`]: a specialized evaluator when the atom's
-/// IR fits the compiled subset, the generic interpreter otherwise.
-#[derive(Debug)]
-pub enum CompiledAtom {
-    /// The atom lowered to a closure-free [`CompiledExpr`].
-    Fast(CompiledExpr),
-    /// Shapes the lowering does not cover (temporal operators, `let`,
-    /// closure calls, higher-order builtins): evaluate through
-    /// [`crate::eval::expand_thunk`].
-    Generic,
-}
-
-impl CompiledAtom {
-    /// `true` when the atom compiled to the fast path.
-    #[must_use]
-    pub fn is_fast(&self) -> bool {
-        matches!(self, CompiledAtom::Fast(_))
-    }
-
-    /// Expands the atom at the current state, through whichever evaluator
-    /// applies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors and non-logical results, identically
-    /// on both paths.
-    pub fn expand(&self, thunk: &Thunk, ctx: &EvalCtx<'_>) -> Result<Formula<Thunk>, EvalError> {
-        match self {
-            CompiledAtom::Fast(expr) => to_formula(expr.eval(ctx)?),
-            CompiledAtom::Generic => expand_thunk(thunk, ctx),
-        }
-    }
-}
-
-/// Deferred-binding inlining depth cap — keeps compilation linear even for
-/// deeply chained `let ~a = ~b; let ~b = …` definitions.
-const MAX_COMPILE_DEPTH: u32 = 64;
-
-/// Lowers one atom to a [`CompiledAtom`].
-///
-/// The lowering is conservative: any construct whose compiled semantics
-/// could diverge from the interpreter (temporal operators, `let` frames,
-/// closure calls, higher-order builtins, unresolvable bindings, function
-/// or formula constants) falls back to [`CompiledAtom::Generic`].
-#[must_use]
-pub fn compile_atom(thunk: &Thunk) -> CompiledAtom {
-    match compile_ir(&thunk.ir, &thunk.env, 0) {
-        Some(expr) => CompiledAtom::Fast(expr),
-        None => CompiledAtom::Generic,
-    }
-}
-
-fn compile_ir(ir: &Ir, env: &Env, depth: u32) -> Option<CompiledExpr> {
-    if depth > MAX_COMPILE_DEPTH {
-        return None;
-    }
-    match ir {
-        Ir::Const(v, _) => compile_const(v),
-        Ir::Var { depth: d, slot, .. } => match env.get(*d, *slot)? {
-            Binding::Eager(v) => compile_const(v),
-            Binding::Deferred(t) => compile_ir(&t.ir, &t.env, depth + 1),
-        },
-        Ir::Happened(_) => Some(CompiledExpr::Happened),
-        Ir::Member { obj, field, span } => {
-            let base = compile_ir(obj, env, depth + 1)?;
-            if let CompiledExpr::Const(Value::Selector(sel)) = &base {
-                let sel = *sel;
-                return Some(if *field == sym::COUNT {
-                    CompiledExpr::QueryCount(sel, *span)
-                } else if *field == sym::PRESENT {
-                    CompiledExpr::QueryPresent(sel, *span)
-                } else if *field == sym::ALL {
-                    CompiledExpr::QueryAll(sel, *span)
-                } else {
-                    CompiledExpr::QueryField(sel, *field, *span)
-                });
-            }
-            Some(CompiledExpr::Member {
-                obj: Box::new(base),
-                field: *field,
-                span: *span,
-            })
-        }
-        Ir::Index { obj, index, span } => Some(CompiledExpr::Index {
-            obj: Box::new(compile_ir(obj, env, depth + 1)?),
-            index: Box::new(compile_ir(index, env, depth + 1)?),
-            span: *span,
-        }),
-        Ir::Array(items, _) => {
-            let compiled = items
-                .iter()
-                .map(|item| compile_ir(item, env, depth + 1))
-                .collect::<Option<Vec<_>>>()?;
-            Some(CompiledExpr::Array(compiled))
-        }
-        Ir::If {
-            cond,
-            then_branch,
-            else_branch,
-            span,
-        } => Some(CompiledExpr::If {
-            cond: Box::new(compile_ir(cond, env, depth + 1)?),
-            then_branch: Box::new(compile_ir(then_branch, env, depth + 1)?),
-            else_branch: Box::new(compile_ir(else_branch, env, depth + 1)?),
-            span: *span,
-        }),
-        Ir::Unary { op, expr, span } => Some(CompiledExpr::Unary {
-            op: *op,
-            expr: Box::new(compile_ir(expr, env, depth + 1)?),
-            span: *span,
-        }),
-        Ir::Binary { op, lhs, rhs, span } => {
-            let l = Box::new(compile_ir(lhs, env, depth + 1)?);
-            let r = Box::new(compile_ir(rhs, env, depth + 1)?);
-            Some(match op {
-                BinOp::And | BinOp::Or | BinOp::Implies => CompiledExpr::Logic {
-                    op: *op,
-                    lhs: l,
-                    rhs: r,
-                    lhs_span: lhs.span(),
-                    rhs_span: rhs.span(),
-                },
-                _ => CompiledExpr::Binary {
-                    op: *op,
-                    lhs: l,
-                    rhs: r,
-                    span: *span,
-                },
-            })
-        }
-        Ir::Call { func, args, .. } => {
-            let builtin = resolve_builtin(func, env, depth + 1)?;
-            // Higher-order builtins need function values (not compiled);
-            // arity mismatches keep the interpreter's runtime error.
-            if builtin.higher_order() || builtin.arity() != args.len() {
-                return None;
-            }
-            let compiled = args
-                .iter()
-                .map(|arg| compile_ir(arg, env, depth + 1))
-                .collect::<Option<Vec<_>>>()?;
-            Some(CompiledExpr::Call {
-                builtin,
-                args: compiled,
-            })
-        }
-        Ir::Let { .. } | Ir::Temporal { .. } | Ir::TemporalBin { .. } => None,
-    }
-}
-
-fn resolve_builtin(func: &Ir, env: &Env, depth: u32) -> Option<Builtin> {
-    if depth > MAX_COMPILE_DEPTH {
-        return None;
-    }
-    match func {
-        Ir::Const(Value::Builtin(b), _) => Some(*b),
-        Ir::Var { depth: d, slot, .. } => match env.get(*d, *slot)? {
-            Binding::Eager(Value::Builtin(b)) => Some(*b),
-            Binding::Deferred(t) => resolve_builtin(&t.ir, &t.env, depth + 1),
-            Binding::Eager(_) => None,
-        },
-        _ => None,
-    }
-}
-
-/// Constants the compiled subset may carry. Functions are excluded so no
-/// compiled node can ever evaluate to one (which keeps the interpreter's
-/// "functions in data" checks unreachable on the fast path), and formula
-/// constants are excluded because their atoms capture environments the
-/// compiler does not resolve.
-fn compile_const(v: &Value) -> Option<CompiledExpr> {
-    fn plain_data(v: &Value) -> bool {
-        match v {
-            Value::Null
-            | Value::Bool(_)
-            | Value::Int(_)
-            | Value::Float(_)
-            | Value::Str(_)
-            | Value::Selector(_)
-            | Value::Action(_) => true,
-            Value::List(items) => items.iter().all(plain_data),
-            Value::Record(fields) => fields.values().all(plain_data),
-            Value::Formula(_) | Value::Closure(_) | Value::Builtin(_) => false,
-        }
-    }
-    plain_data(v).then(|| CompiledExpr::Const(v.clone()))
-}
-
-// ---------------------------------------------------------------------------
 // The shared expansion memo
 // ---------------------------------------------------------------------------
 
@@ -775,7 +336,7 @@ impl MemoEntry {
 #[derive(Debug)]
 pub struct AtomMemo {
     inner: Mutex<MemoInner>,
-    compiled: Mutex<HashMap<u64, CompileInfo>>,
+    footprints: Mutex<HashMap<u64, Arc<AtomFootprint>>>,
 }
 
 #[derive(Debug)]
@@ -783,14 +344,6 @@ struct MemoInner {
     map: HashMap<(u64, u64), Arc<MemoEntry>>,
     order: VecDeque<(u64, u64)>,
     capacity: usize,
-}
-
-/// The env-resolved derivations shared alongside the expansion memo: the
-/// static footprint and the compiled evaluator of one semantic atom.
-#[derive(Debug)]
-struct CompileInfo {
-    footprint: Arc<AtomFootprint>,
-    compiled: Arc<CompiledAtom>,
 }
 
 impl AtomMemo {
@@ -803,32 +356,29 @@ impl AtomMemo {
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
-            compiled: Mutex::new(HashMap::new()),
+            footprints: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The shared derived info of the atom with semantic key `key`: its
-    /// static footprint and compiled evaluator, computed on first
-    /// request.
+    /// The static footprint of the atom with semantic key `key`, analyzed
+    /// on first request.
     ///
-    /// Both derivations resolve variables through the atom's environment
-    /// (eager bindings are inlined as constants), so they are functions
-    /// of exactly what the semantic key hashes — the IR node and the
-    /// environment content. Sharing them here means each distinct atom
-    /// is analyzed and compiled once per property instead of once per
+    /// The analysis resolves variables through the atom's environment, so
+    /// it is a function of exactly what the semantic key hashes — the IR
+    /// node and the environment content. Sharing it here means each
+    /// distinct atom is analyzed once per property instead of once per
     /// fresh thunk identity: residual atoms allocate a fresh environment
-    /// (and so a fresh identity) at every unroll, and recompiling them
-    /// per identity costs more than the evaluation the memo saves. The
-    /// cache is unbounded but small — one entry per distinct semantic
-    /// atom, the same population the memo itself keys on.
+    /// (and so a fresh identity) at every unroll, and re-deriving per
+    /// identity costs more than the evaluation the memo saves. The cache
+    /// is unbounded but small — one entry per distinct semantic atom, the
+    /// same population the memo itself keys on.
     #[must_use]
-    pub fn compile_info(&self, key: u64, thunk: &Thunk) -> (Arc<AtomFootprint>, Arc<CompiledAtom>) {
-        let mut map = self.compiled.lock().expect("atom compile cache lock");
-        let info = map.entry(key).or_insert_with(|| CompileInfo {
-            footprint: Arc::new(footprint_of_thunk(thunk)),
-            compiled: Arc::new(compile_atom(thunk)),
-        });
-        (Arc::clone(&info.footprint), Arc::clone(&info.compiled))
+    pub fn footprint(&self, key: u64, thunk: &Thunk) -> Arc<AtomFootprint> {
+        let mut map = self.footprints.lock().expect("atom footprint cache lock");
+        Arc::clone(
+            map.entry(key)
+                .or_insert_with(|| Arc::new(footprint_of_thunk(thunk))),
+        )
     }
 
     /// The entry under `key`, if present.
@@ -889,11 +439,8 @@ impl AtomMemo {
 mod tests {
     use super::*;
     use crate::ast::Span;
-    use quickstrom_protocol::{ElementState, StateSnapshot};
-
-    fn span() -> Span {
-        Span::default()
-    }
+    use crate::compile::Ir;
+    use quickstrom_protocol::Symbol;
 
     fn eager(v: Value) -> Env {
         Env::new().push(vec![Binding::Eager(v)])
@@ -904,23 +451,8 @@ mod tests {
             depth,
             slot,
             name: Symbol::intern("x"),
-            span: span(),
+            span: Span::default(),
         })
-    }
-
-    fn state_with(selector: &str, elements: Vec<ElementState>) -> StateSnapshot {
-        let mut state = StateSnapshot::new();
-        state.insert_query(Selector::new(selector), elements);
-        state
-    }
-
-    fn element(text: &str) -> ElementState {
-        ElementState {
-            text: text.to_owned(),
-            enabled: true,
-            visible: true,
-            ..ElementState::default()
-        }
     }
 
     #[test]
@@ -962,103 +494,6 @@ mod tests {
         let c = Thunk::new(Arc::clone(&ir), deferred(8));
         assert_eq!(keyer.key(&a), keyer.key(&b));
         assert_ne!(keyer.key(&a), keyer.key(&c));
-    }
-
-    #[test]
-    fn compiled_projection_comparison_matches_interpreter() {
-        // `#status`.text == "ok"
-        let sel = Value::Selector(Selector::new("#status"));
-        let ir: Arc<Ir> = Arc::new(Ir::Binary {
-            op: BinOp::Eq,
-            lhs: Arc::new(Ir::Member {
-                obj: Arc::new(Ir::Const(sel, span())),
-                field: sym::TEXT,
-                span: span(),
-            }),
-            rhs: Arc::new(Ir::Const(Value::str("ok"), span())),
-            span: span(),
-        });
-        let thunk = Thunk::new(ir, Env::new());
-        let compiled = compile_atom(&thunk);
-        assert!(compiled.is_fast());
-
-        for text in ["ok", "nope"] {
-            let state = state_with("#status", vec![element(text)]);
-            let ctx = EvalCtx::with_state(&state, 100);
-            let fast = compiled.expand(&thunk, &ctx).unwrap();
-            let generic = expand_thunk(&thunk, &ctx).unwrap();
-            assert_eq!(fast, generic, "text = {text:?}");
-        }
-        // Missing element: null-lenient comparison on both paths.
-        let state = state_with("#status", vec![]);
-        let ctx = EvalCtx::with_state(&state, 100);
-        assert_eq!(
-            compiled.expand(&thunk, &ctx).unwrap(),
-            expand_thunk(&thunk, &ctx).unwrap()
-        );
-    }
-
-    #[test]
-    fn compiled_builtin_call_matches_interpreter() {
-        // parseInt(`#counter`.text) > 3, with the builtin resolved through
-        // an eager environment binding like the global frame provides.
-        let env = eager(Value::Builtin(Builtin::ParseInt));
-        let ir: Arc<Ir> = Arc::new(Ir::Binary {
-            op: BinOp::Gt,
-            lhs: Arc::new(Ir::Call {
-                func: var(0, 0),
-                args: vec![Arc::new(Ir::Member {
-                    obj: Arc::new(Ir::Const(
-                        Value::Selector(Selector::new("#counter")),
-                        span(),
-                    )),
-                    field: sym::TEXT,
-                    span: span(),
-                })],
-                span: span(),
-            }),
-            rhs: Arc::new(Ir::Const(Value::Int(3), span())),
-            span: span(),
-        });
-        let thunk = Thunk::new(ir, env);
-        let compiled = compile_atom(&thunk);
-        assert!(compiled.is_fast());
-        for text in ["2", "12", "not a number"] {
-            let state = state_with("#counter", vec![element(text)]);
-            let ctx = EvalCtx::with_state(&state, 100);
-            assert_eq!(
-                compiled.expand(&thunk, &ctx).unwrap(),
-                expand_thunk(&thunk, &ctx).unwrap(),
-                "text = {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn temporal_and_let_shapes_fall_back_to_generic() {
-        let body = Arc::new(Ir::Const(Value::Bool(true), span()));
-        let temporal = Thunk::new(
-            Arc::new(Ir::Temporal {
-                op: crate::ast::TemporalOp::Always,
-                demand: Some(3),
-                body: Arc::clone(&body),
-                span: span(),
-            }),
-            Env::new(),
-        );
-        assert!(!compile_atom(&temporal).is_fast());
-
-        let let_ir = Thunk::new(
-            Arc::new(Ir::Let {
-                name: Symbol::intern("v"),
-                deferred: false,
-                value: Arc::clone(&body),
-                body,
-                span: span(),
-            }),
-            Env::new(),
-        );
-        assert!(!compile_atom(&let_ir).is_fast());
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl<'a> EvalCtx<'a> {
         Ok(())
     }
 
-    pub(crate) fn state(&self) -> Result<&'a StateSnapshot, EvalError> {
+    fn state(&self) -> Result<&'a StateSnapshot, EvalError> {
         self.state.ok_or_else(|| {
             EvalError::new(
                 "state-dependent expression evaluated outside a state context \
@@ -186,7 +186,28 @@ pub fn eval(ir: &Arc<Ir>, env: &Env, ctx: &EvalCtx<'_>) -> Result<Value, EvalErr
             span,
         } => {
             let v = eval(inner, env, ctx)?;
-            unary_value(*op, v, *span)
+            match op {
+                UnOp::Not => match v {
+                    Value::Bool(b) => Ok(Value::Bool(!b)),
+                    Value::Formula(f) => Ok(Value::Formula(f.not())),
+                    other => Err(EvalError::at(
+                        *span,
+                        format!("cannot negate a {}", other.type_name()),
+                    )),
+                },
+                UnOp::Neg => match v {
+                    Value::Int(n) => n
+                        .checked_neg()
+                        .map(Value::Int)
+                        .ok_or_else(|| EvalError::at(*span, "integer overflow in negation")),
+                    Value::Float(x) => Ok(Value::Float(-x)),
+                    Value::Null => Ok(Value::Null),
+                    other => Err(EvalError::at(
+                        *span,
+                        format!("cannot negate a {}", other.type_name()),
+                    )),
+                },
+            }
         }
         Ir::Binary { op, lhs, rhs, span } => eval_binary(*op, lhs, rhs, env, ctx, *span),
         Ir::Member { obj, field, span } => {
@@ -283,41 +304,12 @@ pub fn eval(ir: &Arc<Ir>, env: &Env, ctx: &EvalCtx<'_>) -> Result<Value, EvalErr
 }
 
 /// Either a plain boolean or a lifted formula — the two "logical" shapes.
-pub(crate) enum Logical {
+enum Logical {
     Plain(bool),
     Lifted(Formula<Thunk>),
 }
 
-/// Applies a unary operator to an evaluated operand — shared by the
-/// generic interpreter and the compiled atom evaluators
-/// ([`crate::atomc`]), so both agree bit-for-bit on semantics and error
-/// messages.
-pub(crate) fn unary_value(op: UnOp, v: Value, span: Span) -> Result<Value, EvalError> {
-    match op {
-        UnOp::Not => match v {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            Value::Formula(f) => Ok(Value::Formula(f.not())),
-            other => Err(EvalError::at(
-                span,
-                format!("cannot negate a {}", other.type_name()),
-            )),
-        },
-        UnOp::Neg => match v {
-            Value::Int(n) => n
-                .checked_neg()
-                .map(Value::Int)
-                .ok_or_else(|| EvalError::at(span, "integer overflow in negation")),
-            Value::Float(x) => Ok(Value::Float(-x)),
-            Value::Null => Ok(Value::Null),
-            other => Err(EvalError::at(
-                span,
-                format!("cannot negate a {}", other.type_name()),
-            )),
-        },
-    }
-}
-
-pub(crate) fn as_logical(v: Value, span: Span) -> Result<Logical, EvalError> {
+fn as_logical(v: Value, span: Span) -> Result<Logical, EvalError> {
     match v {
         Value::Bool(b) => Ok(Logical::Plain(b)),
         Value::Formula(f) => Ok(Logical::Lifted(f)),
@@ -331,7 +323,7 @@ pub(crate) fn as_logical(v: Value, span: Span) -> Result<Logical, EvalError> {
     }
 }
 
-pub(crate) fn lift(l: Logical) -> Formula<Thunk> {
+fn lift(l: Logical) -> Formula<Thunk> {
     match l {
         Logical::Plain(b) => Formula::constant(b),
         Logical::Lifted(f) => f,
@@ -400,51 +392,33 @@ fn eval_binary(
                 }
             }
         }
-        BinOp::Eq
-        | BinOp::Ne
-        | BinOp::In
-        | BinOp::Lt
-        | BinOp::Le
-        | BinOp::Gt
-        | BinOp::Ge
-        | BinOp::Add
-        | BinOp::Sub
-        | BinOp::Mul
-        | BinOp::Div
-        | BinOp::Mod => {
+        BinOp::Eq | BinOp::Ne => {
             let l = eval(lhs, env, ctx)?;
             let r = eval(rhs, env, ctx)?;
-            binary_values(op, l, r, span)
-        }
-    }
-}
-
-/// Applies a non-short-circuiting binary operator to evaluated operands —
-/// shared by the generic interpreter and the compiled atom evaluators
-/// ([`crate::atomc`]). The logical operators (`&&`/`||`/`==>`) are *not*
-/// handled here: they short-circuit, so each caller owns its operand
-/// evaluation order.
-pub(crate) fn binary_values(op: BinOp, l: Value, r: Value, span: Span) -> Result<Value, EvalError> {
-    match op {
-        BinOp::Eq | BinOp::Ne => {
             let eq = l.loosely_equals(&r);
             Ok(Value::Bool(if op == BinOp::Eq { eq } else { !eq }))
         }
-        BinOp::In => match r {
-            Value::List(items) => Ok(Value::Bool(items.iter().any(|i| i.loosely_equals(&l)))),
-            Value::Str(haystack) => match l {
-                Value::Str(needle) => Ok(Value::Bool(haystack.contains(&*needle))),
+        BinOp::In => {
+            let l = eval(lhs, env, ctx)?;
+            let r = eval(rhs, env, ctx)?;
+            match r {
+                Value::List(items) => Ok(Value::Bool(items.iter().any(|i| i.loosely_equals(&l)))),
+                Value::Str(haystack) => match l {
+                    Value::Str(needle) => Ok(Value::Bool(haystack.contains(&*needle))),
+                    other => Err(EvalError::at(
+                        span,
+                        format!("cannot search for {} in a string", other.type_name()),
+                    )),
+                },
                 other => Err(EvalError::at(
                     span,
-                    format!("cannot search for {} in a string", other.type_name()),
+                    format!("`in` expects a list or string, got {}", other.type_name()),
                 )),
-            },
-            other => Err(EvalError::at(
-                span,
-                format!("`in` expects a list or string, got {}", other.type_name()),
-            )),
-        },
+            }
+        }
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            let l = eval(lhs, env, ctx)?;
+            let r = eval(rhs, env, ctx)?;
             let ord = compare(&l, &r, span)?;
             Ok(Value::Bool(match (op, ord) {
                 // Null (or NaN) never satisfies an ordering comparison.
@@ -456,9 +430,10 @@ pub(crate) fn binary_values(op: BinOp, l: Value, r: Value, span: Span) -> Result
                 _ => unreachable!("comparison ops only"),
             }))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, l, r, span),
-        BinOp::And | BinOp::Or | BinOp::Implies => {
-            unreachable!("short-circuiting ops are handled by the caller")
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+            let l = eval(lhs, env, ctx)?;
+            let r = eval(rhs, env, ctx)?;
+            arith(op, l, r, span)
         }
     }
 }
@@ -467,11 +442,7 @@ pub(crate) fn binary_values(op: BinOp, l: Value, r: Value, span: Span) -> Result
 /// selector query that matched nothing propagates as an always-false
 /// comparison rather than a hard error, so specifications can state
 /// invariants about optional elements without defensive guards.
-pub(crate) fn compare(
-    l: &Value,
-    r: &Value,
-    span: Span,
-) -> Result<Option<std::cmp::Ordering>, EvalError> {
+fn compare(l: &Value, r: &Value, span: Span) -> Result<Option<std::cmp::Ordering>, EvalError> {
     match (l, r) {
         (Value::Int(a), Value::Int(b)) => Ok(Some(a.cmp(b))),
         (Value::Str(a), Value::Str(b)) => Ok(Some(a.cmp(b))),
@@ -494,7 +465,7 @@ pub(crate) fn compare(
     }
 }
 
-pub(crate) fn arith(op: BinOp, l: Value, r: Value, span: Span) -> Result<Value, EvalError> {
+fn arith(op: BinOp, l: Value, r: Value, span: Span) -> Result<Value, EvalError> {
     match (op, &l, &r) {
         // Null propagates through arithmetic (a missing element's
         // projection), mirroring the comparison semantics above.
@@ -587,7 +558,7 @@ pub fn element_record(element: &ElementState) -> Value {
 /// Projects one field of an element without building the record — the fast
 /// path for `` `#e`.text ``-style accesses, which dominate specification
 /// bodies.
-pub(crate) fn element_field(element: &ElementState, field: Symbol) -> Option<Value> {
+fn element_field(element: &ElementState, field: Symbol) -> Option<Value> {
     Some(match field {
         f if f == sym::TEXT => Value::str(&element.text),
         f if f == sym::VALUE => Value::str(&element.value),
@@ -608,7 +579,7 @@ pub(crate) fn element_field(element: &ElementState, field: Symbol) -> Option<Val
     })
 }
 
-pub(crate) fn query<'s>(
+fn query<'s>(
     ctx: &EvalCtx<'s>,
     selector: &Selector,
     span: Span,
@@ -627,12 +598,7 @@ pub(crate) fn query<'s>(
     }
 }
 
-pub(crate) fn member(
-    base: Value,
-    field: Symbol,
-    ctx: &EvalCtx<'_>,
-    span: Span,
-) -> Result<Value, EvalError> {
+fn member(base: Value, field: Symbol, ctx: &EvalCtx<'_>, span: Span) -> Result<Value, EvalError> {
     match base {
         Value::Selector(selector) => {
             let elements = query(ctx, &selector, span)?;
@@ -665,12 +631,7 @@ pub(crate) fn member(
     }
 }
 
-pub(crate) fn index_value(
-    base: Value,
-    idx: Value,
-    ctx: &EvalCtx<'_>,
-    span: Span,
-) -> Result<Value, EvalError> {
+fn index_value(base: Value, idx: Value, ctx: &EvalCtx<'_>, span: Span) -> Result<Value, EvalError> {
     match (base, idx) {
         (Value::List(items), Value::Int(i)) => {
             let i = usize::try_from(i).ok();
@@ -770,7 +731,7 @@ fn mk_action(kind: ActionKind, selector: Selector) -> Value {
     }))
 }
 
-pub(crate) fn apply_builtin(
+fn apply_builtin(
     builtin: Builtin,
     mut args: Vec<Value>,
     ctx: &EvalCtx<'_>,
