@@ -101,7 +101,7 @@ fn bench_ltl_step(c: &mut Criterion) {
 
     // End to end: a full checking session on the counter app through the
     // production checker and through the reference checker (everything
-    // else — seeds, actions, the sequential runtime — identical; so is the
+    // else — seeds, actions, one session at a time — identical; so is the
     // report, by the differential suite).
     type Check = fn(&CompiledSpec, &CheckOptions, MakeExecutor<'_>) -> Result<Report, CheckError>;
     let spec = std::sync::Arc::new(load(quickstrom::specs::COUNTER).expect("spec compiles"));
@@ -110,8 +110,7 @@ fn bench_ltl_step(c: &mut Criterion) {
         .with_max_actions(30)
         .with_default_demand(25)
         .with_seed(11)
-        .with_shrink(false)
-        .with_pipeline(PipelineMode::Off);
+        .with_shrink(false);
     for (name, check) in [
         ("ltl_step_check_automaton", check_spec as Check),
         ("ltl_step_check_stepper", oracle::check_spec as Check),

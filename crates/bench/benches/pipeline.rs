@@ -1,15 +1,15 @@
-//! The pipelined session runtime, measured: sequential engine vs
-//! two-stage pipeline, with and without injected executor latency.
+//! Multiplexed sessions, measured: one session at a time against three in
+//! flight on one worker, with and without injected executor latency.
 //!
-//! The in-process [`WebExecutor`] answers in microseconds, so on a single
-//! core the pipeline's thread hand-off is pure overhead — the honest
-//! baseline pair shows exactly that. The interesting rows wrap the
-//! executor in a [`LatencyExecutor`] (a fixed per-message delay, the shape
-//! of a real browser or remote executor): the evaluator stage then
-//! progresses formulas while the next reply is in flight, and a worker
-//! multiplexing several sessions (`CheckOptions::multiplex`) overlaps
-//! their delays — with N in-flight sessions, per-step latency amortizes
-//! toward `delay / N` instead of summing into every step.
+//! The in-process [`WebExecutor`] answers in microseconds, so the
+//! zero-latency pair prices the multiplexer itself: the hop to each
+//! executor's thread and the worker's idle poll. The interesting rows wrap
+//! the executor in a [`LatencyExecutor`] (a fixed per-message delay, the
+//! shape of a real browser or remote executor): a worker multiplexing
+//! several sessions (`CheckOptions::multiplex`) steps whichever session
+//! has replies while the others wait, so with N sessions in flight the
+//! per-step latency amortizes toward `delay / N` instead of summing into
+//! every step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quickstrom::prelude::*;
@@ -36,13 +36,13 @@ fn check(options: &CheckOptions, delay: Duration) -> bool {
     report.passed()
 }
 
-/// The zero-latency pair: on one core this prices the pipeline's thread
-/// hand-off itself (the sequential engine should win or tie).
+/// The zero-latency pair: prices the multiplexer's thread hop and poll
+/// (one session at a time should win or tie).
 fn bench_inprocess(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_inprocess");
     let configs = [
-        ("sequential", options().with_pipeline(PipelineMode::Off)),
-        ("pipelined", options().with_pipeline(PipelineMode::On)),
+        ("sequential", options()),
+        ("multiplex3", options().with_multiplex(3)),
     ];
     for (label, options) in configs {
         group.bench_with_input(BenchmarkId::new(label, "0ms"), &options, |b, options| {
@@ -52,22 +52,15 @@ fn bench_inprocess(c: &mut Criterion) {
     group.finish();
 }
 
-/// The latency-injected rows: 1 ms per executor message, the regime the
-/// pipeline was built for. `multiplex 3` overlaps three sessions' delays
-/// on one worker and should land well under the sequential row.
+/// The latency-injected rows: 1 ms per executor message, the regime
+/// multiplexing is for. `multiplex 3` overlaps three sessions' delays on
+/// one worker and should land near a third of the sequential row.
 fn bench_latency_hiding(c: &mut Criterion) {
     let delay = Duration::from_millis(1);
     let mut group = c.benchmark_group("pipeline_latency");
     let configs = [
-        ("sequential", options().with_pipeline(PipelineMode::Off)),
-        (
-            "pipelined_multiplex1",
-            options().with_pipeline(PipelineMode::On).with_multiplex(1),
-        ),
-        (
-            "pipelined_multiplex3",
-            options().with_pipeline(PipelineMode::On).with_multiplex(3),
-        ),
+        ("sequential", options()),
+        ("multiplex3", options().with_multiplex(3)),
     ];
     for (label, options) in configs {
         group.bench_with_input(BenchmarkId::new(label, "1ms"), &options, |b, options| {

@@ -2,7 +2,7 @@
 //! paper's evaluation (§4), plus the ablations from DESIGN.md.
 //!
 //! ```text
-//! cargo run --release -p quickstrom-bench --bin evalharness -- table1 [--tests 100] [--jobs 4] [--json BENCH_table1.json] [--full-snapshots] [--strategy least-tried] [--atom-memo-capacity N] [--pipeline on|off] [--pipeline-depth N] [--multiplex M] [--progress] [--metrics] [--metrics-out metrics.prom]
+//! cargo run --release -p quickstrom-bench --bin evalharness -- table1 [--tests 100] [--jobs 4] [--json BENCH_table1.json] [--full-snapshots] [--strategy least-tried] [--atom-memo-capacity N] [--multiplex M] [--progress] [--metrics] [--metrics-out metrics.prom]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- table2 [--jobs 4]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- obs-smoke [--trace-out trace.json] [--trace-timeline timeline.txt] [--metrics-out metrics.prom] [--explain-out explain.json]
 //! cargo run --release -p quickstrom-bench --bin evalharness -- figure13 [--sessions 10] [--runs 3] [--csv fig13.csv]
@@ -38,28 +38,22 @@
 //! *Evaluation automata*) — so no flag selects an engine.
 //! `--atom-memo-capacity N` bounds the atom memo's entry count (FIFO
 //! eviction; the default 65,536 never evicts on the bundled sweep).
-//! `--pipeline on|off` selects the session runtime (the two-stage
-//! pipelined engine — the default — or the sequential engine; see
-//! DESIGN.md, *Pipelined runtime*). Verdicts, state counts and atom
-//! counters are identical in both modes (pinned by
-//! `differential_pipeline`); the timing columns change — and under
-//! pipelining `executor_s`/`eval_s` overlap, so they no longer sum to
-//! `wall_s`.
-//! `--pipeline-depth N` bounds the speculation window (states the
-//! executor may run ahead of the evaluator); `--multiplex M` lets every
-//! worker interleave M in-flight sessions to hide executor latency.
+//! `--multiplex M` lets every worker keep M sessions in flight to hide
+//! executor latency (see DESIGN.md, *Multiplexed sessions*); verdicts,
+//! state counts and traces do not depend on it (pinned by
+//! `differential_pipeline`).
 //! `--progress` keeps a single live line (done/running/ETA) on the
 //! terminal during the sweep; it is silent when stdout is not a TTY, so
 //! redirected logs stay clean. `--metrics` collects the observability
-//! histograms (step latency, executor send latency, pipeline stalls,
-//! memo probe depth) during the sweep and adds the p50/p95/p99 columns
-//! to the JSON; `--metrics-out PATH` also writes the merged registry in
+//! histograms (step latency, executor send latency, memo probe depth)
+//! during the sweep and adds the p50/p95/p99 columns to the JSON;
+//! `--metrics-out PATH` also writes the merged registry in
 //! the Prometheus text exposition format (and implies `--metrics`).
 //! `obs-smoke` checks a known-faulty registry implementation with
-//! tracing and metrics fully enabled on the pipelined, multiplexed
-//! runtime, asserts the artifacts are structurally sound — every span
-//! track well-formed, driver/evaluator stages on separate tracks, the
-//! failure explanation naming the injected fault's atom — and writes the
+//! tracing and metrics fully enabled on multiplexed sessions, asserts the
+//! artifacts are structurally sound — every span track well-formed, one
+//! track per run plus the shrink search's, the failure explanation naming
+//! the injected fault's atom — and writes the
 //! chrome://tracing JSON, the human-readable timeline, the Prometheus
 //! metrics and the explanation JSON (the CI observability smoke).
 //! `lint` runs the spec static analysis over every bundled specification
@@ -92,8 +86,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--json",
     "--metrics-out",
     "--multiplex",
-    "--pipeline",
-    "--pipeline-depth",
     "--runs",
     "--sessions",
     "--strategy",
@@ -190,16 +182,7 @@ fn main() {
         }),
         None => SelectionStrategy::default(),
     };
-    let pipeline = match flags.value("--pipeline") {
-        Some(name) => PipelineMode::parse(&name).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown pipeline mode {name:?} (expected on or off)"
-            ))
-        }),
-        None => PipelineMode::default(),
-    };
     let atom_memo_capacity = flags.number("--atom-memo-capacity");
-    let pipeline_depth = flags.number("--pipeline-depth");
     let multiplex = flags.number("--multiplex");
     let progress = flags.switch("--progress");
     let metrics = flags.switch("--metrics");
@@ -207,13 +190,9 @@ fn main() {
     let trace_out = flags.value("--trace-out");
     let trace_timeline = flags.value("--trace-timeline");
     let explain_out = flags.value("--explain-out");
-    let engine_options = move |options: CheckOptions| {
-        let mut options = options.with_pipeline(pipeline);
+    let engine_options = move |mut options: CheckOptions| {
         if let Some(capacity) = atom_memo_capacity {
             options = options.with_atom_memo_capacity(capacity);
-        }
-        if let Some(depth) = pipeline_depth {
-            options = options.with_pipeline_depth(depth);
         }
         if let Some(m) = multiplex {
             options = options.with_multiplex(m);
@@ -298,8 +277,8 @@ fn main() {
 }
 
 /// Runs the registry sweep and prints Table 1 (and optionally Table 2).
-/// `engine_options` applies the `--atom-memo-capacity` / `--pipeline` /
-/// `--pipeline-depth` / `--multiplex` flags on top of the base options.
+/// `engine_options` applies the `--atom-memo-capacity` / `--multiplex`
+/// flags on top of the base options.
 #[allow(clippy::fn_params_excessive_bools, clippy::too_many_arguments)]
 fn table1_and_2(
     tests: usize,
@@ -335,8 +314,8 @@ fn table1_and_2(
             .with_strategy(strategy),
     );
     println!(
-        "    (pipeline {}, depth {}, multiplex {}, atom memo capacity {})",
-        options.pipeline, options.pipeline_depth, options.multiplex, options.atom_memo_capacity
+        "    (multiplex {}, atom memo capacity {})",
+        options.multiplex, options.atom_memo_capacity
     );
     let print_line = |result: &ImplResult| {
         println!(
@@ -554,10 +533,10 @@ fn table1_and_2(
 /// The observability smoke: checks a known-faulty registry entry (the
 /// `angular2_es2015` build, whose injected fault removes the completion
 /// checkboxes the `checkboxInv` property reads through `.toggle`) with
-/// tracing and metrics fully enabled on the pipelined, multiplexed
-/// runtime. Asserts the artifacts are structurally sound — every span
-/// track well-formed with nothing dropped, driver/evaluator stages on
-/// separate tracks, the failure explanation naming the faulty atom — then
+/// tracing and metrics fully enabled on multiplexed sessions. Asserts the
+/// artifacts are structurally sound — every span track well-formed with
+/// nothing dropped, one track per run plus the shrink search's, the
+/// failure explanation naming the faulty atom — then
 /// writes the requested outputs. Any violated invariant panics, so CI can
 /// run this as a hard gate.
 fn obs_smoke(
@@ -582,16 +561,13 @@ fn obs_smoke(
     let (result, artifacts) = check_entry_observed(entry, &options, SnapshotMode::Delta, &obs);
     assert!(!result.passed, "the injected fault must be found");
 
-    // The pipelined stages must land on separate tracks, every track must
-    // nest properly, and the ring buffers must not have overflowed.
+    // Every run and the shrink search get a track of their own, every
+    // track must nest properly, and the ring buffers must not have
+    // overflowed.
     let tracks = &artifacts.trace.tracks;
     assert!(
-        tracks.iter().any(|t| t.name.contains("driver")),
-        "driver track missing"
-    );
-    assert!(
-        tracks.iter().any(|t| t.name.contains("evaluator")),
-        "evaluator track missing"
+        tracks.iter().any(|t| t.name.starts_with("run ")),
+        "run tracks missing"
     );
     assert!(
         tracks.iter().any(|t| t.name.contains("shrink")),

@@ -27,7 +27,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotMode {
     /// Incremental: one full snapshot, then `SnapshotDelta`s (the
-    /// default pipeline).
+    /// default).
     #[default]
     Delta,
     /// Every message carries a complete snapshot (the pre-incremental
@@ -113,19 +113,6 @@ pub struct ImplResult {
     /// Of those, steps answered wholesale by the state-value step memo
     /// (no atom expansion or observation at all).
     pub step_memo_hits: u64,
-    /// The speculation bound of the pipelined runtime (zero under
-    /// `--pipeline off`). Note that under pipelining `executor_s` and
-    /// `eval_s` overlap in wall time and no longer sum to `wall_s`.
-    pub pipeline_depth: u64,
-    /// Seconds the pipelined driver was blocked on the evaluator (full
-    /// state channel, or parked at a budget boundary).
-    pub executor_stall_s: f64,
-    /// Seconds the pipelined evaluator starved on an empty state channel
-    /// (the executor was the bottleneck).
-    pub evaluator_stall_s: f64,
-    /// States the driver executed beyond the canonical stop point, then
-    /// discarded unprocessed when the verdict landed.
-    pub speculative_states_discarded: u64,
     /// Total states observed.
     pub states: usize,
     /// Fault numbers injected into this implementation.
@@ -248,10 +235,6 @@ pub fn check_entry_observed(
         ltl_states: timings.ltl_states,
         ltl_table_hits: timings.ltl_table_hits,
         step_memo_hits: timings.step_memo_hits,
-        pipeline_depth: timings.pipeline_depth,
-        executor_stall_s: timings.executor_stall_s,
-        evaluator_stall_s: timings.evaluator_stall_s,
-        speculative_states_discarded: timings.speculative_states_discarded,
         states,
         fault_numbers: entry.faults.iter().map(|f| f.number()).collect(),
         transport: report.transport(),
@@ -357,13 +340,8 @@ const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)
 /// work the value-keyed memo saved — and the
 /// automaton counters `ltl_states` / `ltl_table_hits`: the interned
 /// residual-state count of the shared transition table and the
-/// progression steps it answered by lookup, and the pipeline
-/// observability `pipeline_depth` / `executor_stall_s` /
-/// `evaluator_stall_s` / `speculative_states_discarded` — which stage of
-/// the pipelined runtime bounded the sweep and how much speculative work
-/// the verdicts discarded; under pipelining `executor_s` and `eval_s`
-/// overlap in wall time and no longer sum to `wall_s`; and the latency
-/// quantile columns `step_latency_p{50,95,99}_us` /
+/// progression steps it answered by lookup, and `step_memo_hits`; and the
+/// latency quantile columns `step_latency_p{50,95,99}_us` /
 /// `send_latency_p{50,95,99}_us`, estimated from the merged fixed-bucket
 /// histograms when the sweep ran with metrics enabled and `null` — not
 /// measured — on a metrics-off sweep) and an
@@ -438,32 +416,6 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
         "  \"step_memo_hits\": {},",
         results.iter().map(|r| r.step_memo_hits).sum::<u64>()
     );
-    // Pipeline observability: the depth is a configuration echo (max),
-    // the stalls say which stage bounded the sweep, and the discard count
-    // is the price of speculation (work done past the canonical stop).
-    let _ = writeln!(
-        out,
-        "  \"pipeline_depth\": {},",
-        results.iter().map(|r| r.pipeline_depth).max().unwrap_or(0)
-    );
-    let _ = writeln!(
-        out,
-        "  \"executor_stall_s\": {:.4},",
-        results.iter().map(|r| r.executor_stall_s).sum::<f64>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"evaluator_stall_s\": {:.4},",
-        results.iter().map(|r| r.evaluator_stall_s).sum::<f64>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"speculative_states_discarded\": {},",
-        results
-            .iter()
-            .map(|r| r.speculative_states_discarded)
-            .sum::<u64>()
-    );
     // Latency quantiles from the merged metrics registries (`null` when
     // the sweep ran with metrics off — the merged histograms are empty).
     let mut merged = MetricsRegistry::new();
@@ -504,9 +456,6 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
              \"atom_memo_evictions\": {}, \
              \"ltl_states\": {}, \"ltl_table_hits\": {}, \
              \"step_memo_hits\": {}, \
-             \"pipeline_depth\": {}, \"executor_stall_s\": {:.4}, \
-             \"evaluator_stall_s\": {:.4}, \
-             \"speculative_states_discarded\": {}, \
              \"states\": {}, \"faults\": [{}], \
              \"shipped_bytes\": {}, \"full_bytes\": {}, \"delta_states\": {}, \
              \"changed_selectors\": {}, \
@@ -525,10 +474,6 @@ pub fn sweep_to_json(results: &[ImplResult], jobs: usize, total_wall_s: f64) -> 
             r.ltl_states,
             r.ltl_table_hits,
             r.step_memo_hits,
-            r.pipeline_depth,
-            r.executor_stall_s,
-            r.evaluator_stall_s,
-            r.speculative_states_discarded,
             r.states,
             faults.join(", "),
             r.transport.shipped_bytes,

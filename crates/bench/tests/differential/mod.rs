@@ -12,10 +12,10 @@
 //! transport and coverage accounting, which rows may legitimately change.
 //!
 //! The production rows form one table ([`rows`]): jobs 1/2 × delta/full
-//! snapshots × runtime (pipelined at depth 1 and 16, sequential,
-//! multiplexed ×3), plus the spec-aware fingerprint under the uniform
-//! strategy. Five suites share this harness and between them check every
-//! row on every input:
+//! snapshots × runtime (one session at a time, or three multiplexed per
+//! worker), plus the spec-aware fingerprint under the uniform strategy.
+//! Five suites share this harness and between them check every row on
+//! every input:
 //!
 //! | suite                    | bundled specs and the faulty entry      |
 //! |--------------------------|-----------------------------------------|
@@ -26,16 +26,18 @@
 //! | `differential_mask`      | the spec-aware fingerprint              |
 //!
 //! and each suite checks one fifth of the 43-entry registry under every
-//! row ([`check_registry`]). Each suite also holds the corner cases of
-//! the cache or runtime it is named after.
+//! row ([`check_registry`]); `differential_pipeline` also checks the §3.4
+//! event-timeout case under every row ([`check_event_timeouts`]). Each
+//! suite also holds the corner cases of the cache or runtime it is named
+//! after.
 //!
 //! All rows of a case share one compiled spec, so later rows run against
 //! memos the earlier rows warmed: cold and warm caches, sequential and
 //! racing workers must all produce the oracle's report. Every row must
 //! also keep the counter invariants that make the memo bookkeeping
 //! trustworthy (every atom request is a memo hit or a miss, the atom
-//! demand is the same in every row), echo its runtime and ship the
-//! snapshots its row asks for.
+//! demand is the same in every row) and ship the snapshots its row asks
+//! for.
 //!
 //! These tests run in debug builds, so every atom-memo hit also goes
 //! through the collision check: the served expansion is re-derived and
@@ -48,18 +50,19 @@ use quickstrom::prelude::*;
 use quickstrom::quickstrom_apps::registry::{self, Entry, REGISTRY};
 use quickstrom::quickstrom_apps::{BigTable, Counter, EggTimer, Fault, MenuApp, TodoMvc, Wizard};
 use quickstrom::quickstrom_checker::{oracle, PhaseTimings};
+use quickstrom::quickstrom_protocol::{CheckerMsg, ExecutorMsg};
 use quickstrom::specstrom;
 use quickstrom::webdom::App;
 pub use quickstrom_bench::SnapshotMode;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How a row runs each test run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runtime {
-    /// The two-stage pipelined runtime at the given speculation depth.
-    Pipelined { depth: usize },
-    /// The sequential engine.
+    /// One session at a time per worker, driven inline.
     Sequential,
-    /// The pipelined runtime with several in-flight sessions per worker.
+    /// Several sessions in flight per worker.
     Multiplexed { width: usize },
 }
 
@@ -79,24 +82,14 @@ impl Row {
             .with_jobs(self.jobs)
             .with_fingerprint(self.fingerprint);
         match self.runtime {
-            Runtime::Pipelined { depth } => options
-                .with_pipeline(PipelineMode::On)
-                .with_pipeline_depth(depth),
-            Runtime::Sequential => options.with_pipeline(PipelineMode::Off),
-            Runtime::Multiplexed { width } => options
-                .with_pipeline(PipelineMode::On)
-                .with_multiplex(width),
+            Runtime::Sequential => options,
+            Runtime::Multiplexed { width } => options.with_multiplex(width),
         }
     }
 }
 
 /// The runtimes every jobs × snapshots pair of the table runs under.
-pub const RUNTIMES: [Runtime; 4] = [
-    Runtime::Pipelined { depth: 1 },
-    Runtime::Pipelined { depth: 16 },
-    Runtime::Sequential,
-    Runtime::Multiplexed { width: 3 },
-];
+pub const RUNTIMES: [Runtime; 2] = [Runtime::Sequential, Runtime::Multiplexed { width: 3 }];
 
 /// The table's rows for `jobs` workers shipping `snapshots`, one per
 /// runtime.
@@ -118,11 +111,11 @@ pub fn runtime_rows(jobs: usize, snapshots: SnapshotMode) -> Vec<Row> {
 pub const SPEC_AWARE: Row = Row {
     jobs: 1,
     snapshots: SnapshotMode::Delta,
-    runtime: Runtime::Pipelined { depth: 16 },
+    runtime: Runtime::Sequential,
     fingerprint: FingerprintMode::SpecAware,
 };
 
-/// Every production row: jobs 1/2 × delta/full snapshots × the four
+/// Every production row: jobs 1/2 × delta/full snapshots × the two
 /// runtimes, plus the spec-aware fingerprint.
 pub fn rows() -> Vec<Row> {
     let mut rows = Vec::new();
@@ -207,9 +200,9 @@ impl Case {
             self.name
         );
         assert_eq!(
-            (t.ltl_states, t.ltl_table_hits, t.pipeline_depth),
-            (0, 0, 0),
-            "{}: the oracle must step the plain stepper, sequentially",
+            (t.ltl_states, t.ltl_table_hits),
+            (0, 0),
+            "{}: the oracle must step the plain stepper",
             self.name
         );
         report
@@ -264,25 +257,6 @@ impl Case {
             "{name} under {row:?}: only memo misses may run atom code"
         );
         assert!(t.ltl_states > 0, "{name} under {row:?}: no state interned");
-        match row.runtime {
-            Runtime::Sequential => {
-                assert_eq!(
-                    (t.pipeline_depth, t.speculative_states_discarded),
-                    (0, 0),
-                    "{name}: the sequential engine has no pipeline"
-                );
-                assert_eq!((t.executor_stall_s, t.evaluator_stall_s), (0.0, 0.0));
-            }
-            Runtime::Pipelined { depth } => assert_eq!(
-                t.pipeline_depth, depth as u64,
-                "{name} under {row:?}: the pipeline must echo its depth"
-            ),
-            Runtime::Multiplexed { .. } => assert_eq!(
-                t.pipeline_depth,
-                CheckOptions::default().pipeline_depth as u64,
-                "{name} under {row:?}: the pipeline must echo its depth"
-            ),
-        }
         if row.snapshots == SnapshotMode::Full {
             assert_eq!(
                 report.transport().delta_states,
@@ -462,7 +436,7 @@ pub fn check_registry(slice: usize) {
         .with_default_demand(25)
         .with_seed(11)
         .with_shrink(false);
-    let (mut memo_hits, mut table_hits, mut deltas, mut discarded) = (0, 0, 0, 0);
+    let (mut memo_hits, mut table_hits, mut deltas) = (0, 0, 0);
     for entry in REGISTRY.iter().skip(slice).step_by(REGISTRY_SLICES) {
         let case = Case::new(
             entry.name,
@@ -478,12 +452,84 @@ pub fn check_registry(slice: usize) {
             .iter()
             .map(|(_, r)| r.transport().delta_states)
             .sum::<u64>();
-        discarded += checked.total(|t| t.speculative_states_discarded);
     }
     assert!(memo_hits > 0, "the shared memo never hit");
     assert!(table_hits > 0, "the table never answered a step by lookup");
     assert!(deltas > 0, "no delta was ever shipped");
-    // Failing entries reach their verdict mid-run, so the pipeline must
-    // have truncated speculation somewhere (otherwise the pin is vacuous).
-    assert!(discarded > 0, "no speculative state was ever discarded");
+}
+
+/// The §3.4 event timeouts: `tick?` declares a timeout, so every observed
+/// tick makes the checker send a `Wait` before its next action.
+pub const EVENT_TIMEOUT_SPEC: &str = r#"
+    let ~stopped = `#toggle`.text == "start";
+    let ~started = `#toggle`.text == "stop";
+    let ~time = parseInt(`#remaining`.text);
+    action start! = click!(`#toggle`) when stopped;
+    action wait!  = noop! timeout 500 when started;
+    action tick?  = changed?(`#remaining`) timeout 1100;
+    let ~ticking { let old = time; started && nextW (time == old - 1 || time == old || stopped) };
+    let ~safety = loaded? in happened && always[40] (stopped || ticking);
+    check safety with start! wait! tick?;
+"#;
+
+/// An executor that counts the `Wait`s it receives.
+struct CountWaits {
+    inner: Box<dyn Executor>,
+    waits: Arc<AtomicUsize>,
+}
+
+impl Executor for CountWaits {
+    fn send(&mut self, msg: CheckerMsg) -> Vec<ExecutorMsg> {
+        if matches!(msg, CheckerMsg::Wait { .. }) {
+            self.waits.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.send(msg)
+    }
+
+    fn transport_stats(&self) -> TransportStats {
+        self.inner.transport_stats()
+    }
+}
+
+/// Checks the event-timeout case under `rows`: every row must reproduce
+/// the oracle's report and send exactly the oracle's `Wait`s, of which
+/// there must be at least one, so the case cannot pass vacuously.
+pub fn check_event_timeouts(rows: &[Row]) -> Checked {
+    let waits = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&waits);
+    let case = Case::new(
+        "event timeouts",
+        EVENT_TIMEOUT_SPEC,
+        Box::new(move |config| {
+            Box::new(CountWaits {
+                inner: Box::new(WebExecutor::with_config(
+                    || EggTimer::with_duration(5),
+                    config,
+                )),
+                waits: Arc::clone(&counter),
+            })
+        }),
+        CheckOptions::default()
+            .with_tests(3)
+            .with_max_actions(20)
+            .with_default_demand(40)
+            .with_seed(3)
+            .with_shrink(false),
+    );
+    let checked = case.run(rows);
+    let total = waits.swap(0, Ordering::SeqCst);
+    oracle::check_spec(
+        &specstrom::load(EVENT_TIMEOUT_SPEC).expect("spec compiles"),
+        &case.base,
+        &|| (case.app)(SnapshotMode::Delta.config()),
+    )
+    .expect("no protocol errors");
+    let per_check = waits.load(Ordering::SeqCst);
+    assert!(per_check > 0, "the oracle never sent a Wait");
+    assert_eq!(
+        total,
+        per_check * (rows.len() + 1),
+        "some row sent a different number of Waits than the oracle ({per_check})"
+    );
+    checked
 }

@@ -74,11 +74,7 @@ fn delta_mode_keeps_jobs_determinism() {
     );
     let rows: Vec<Row> = [1, 2, 4]
         .into_iter()
-        .map(|jobs| Row {
-            jobs,
-            runtime: Runtime::Pipelined { depth: 16 },
-            ..SEQUENTIAL
-        })
+        .map(|jobs| Row { jobs, ..SEQUENTIAL })
         .collect();
     case.run(&rows);
 }

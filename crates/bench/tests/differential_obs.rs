@@ -5,15 +5,14 @@
 //! and failure explanations must never branch checker control flow, so a
 //! check run with tracing and metrics fully enabled must produce a
 //! [`Report`] bit-identical to the plain entry points — on every
-//! workload, across the pipelined and sequential engines, at every jobs
-//! and multiplex width, with the shrinker on.
+//! workload, at every jobs and multiplex width, with the shrinker on.
 //!
 //! On top of the report pins, the suite checks the artifacts themselves:
 //! every emitted track must be structurally well-formed (spans properly
 //! nested, instants zero-width) with strictly monotone logical clocks —
-//! proptested across random seeds, budgets and pipeline shapes on the
-//! multiplexed runtime — and failure explanations must be deterministic
-//! and name the injected fault's atom.
+//! proptested across random seeds, budgets, jobs and multiplex widths —
+//! and failure explanations must be deterministic and name the injected
+//! fault's atom.
 
 use proptest::prelude::*;
 use quickstrom::prelude::*;
@@ -100,9 +99,9 @@ fn wizard_report_is_obs_invariant() {
 }
 
 /// The whole 43-entry registry, crossed over the runtime knobs the
-/// tracing layer instruments: entry `i` runs under combination `i % 8`
-/// of jobs 1/2 × multiplex 1/3 × pipelined/sequential, plain and
-/// observed, and the reports must be bit-identical for every entry.
+/// tracing layer instruments: entry `i` runs under combination `i % 4`
+/// of jobs 1/2 × multiplex 1/3, plain and observed, and the reports must
+/// be bit-identical for every entry.
 #[test]
 fn registry_reports_identical_with_observability_enabled() {
     let spec = todomvc_spec();
@@ -115,16 +114,7 @@ fn registry_reports_identical_with_observability_enabled() {
     for (i, entry) in REGISTRY.iter().enumerate() {
         let jobs = 1 + (i % 2);
         let multiplex = if (i / 2) % 2 == 0 { 1 } else { 3 };
-        let pipeline = if (i / 4) % 2 == 0 {
-            PipelineMode::On
-        } else {
-            PipelineMode::Off
-        };
-        let options = base
-            .clone()
-            .with_jobs(jobs)
-            .with_multiplex(multiplex)
-            .with_pipeline(pipeline);
+        let options = base.clone().with_jobs(jobs).with_multiplex(multiplex);
         let make =
             move || -> Box<dyn Executor> { Box::new(WebExecutor::new(move || entry.build())) };
         let plain = check_spec(&spec, &options, &make).expect("no protocol errors");
@@ -132,8 +122,7 @@ fn registry_reports_identical_with_observability_enabled() {
             .expect("no protocol errors");
         assert_eq!(
             observed, plain,
-            "{} (jobs {jobs}, multiplex {multiplex}, {pipeline:?}): \
-             observability changed the report",
+            "{} (jobs {jobs}, multiplex {multiplex}): observability changed the report",
             entry.name
         );
         for track in &artifacts.trace.tracks {
@@ -231,17 +220,15 @@ fn logical_metrics_are_jobs_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under the multiplexed pipelined runtime, with random seeds,
-    /// budgets, speculation depths and widths: every emitted track nests
-    /// properly and its logical clocks are strictly monotone — every span
-    /// closes after it opens, instants are zero-width, and no clock value
-    /// is ever reused within a track.
+    /// Under multiplexed sessions, with random seeds, budgets, jobs and
+    /// widths: every emitted track nests properly and its logical clocks
+    /// are strictly monotone — every span closes after it opens, instants
+    /// are zero-width, and no clock value is ever reused within a track.
     #[test]
     fn spans_nest_properly_under_the_multiplexed_pipeline(
         seed in 0u64..1000,
         tests in 1usize..5,
         multiplex in 1usize..4,
-        depth in 1usize..6,
         jobs in 1usize..3,
     ) {
         let spec = specstrom::load(quickstrom::specs::COUNTER).expect("bundled spec compiles");
@@ -252,8 +239,7 @@ proptest! {
             .with_seed(seed)
             .with_shrink(false)
             .with_jobs(jobs)
-            .with_multiplex(multiplex)
-            .with_pipeline_depth(depth);
+            .with_multiplex(multiplex);
         let (_, artifacts) = check_spec_observed(
             &spec,
             &options,

@@ -1,15 +1,11 @@
-//! The pipelined runtime and the step memo against the oracle.
+//! The session engine and the step memo against the oracle.
 //!
 //! This suite holds the jobs-1, delta-snapshot rows of the table in
-//! `differential/mod.rs`. The pipelined runtime speculates past the
-//! evaluator and discards the speculative tail when a verdict lands, so
-//! the report may depend on neither the speculation depth nor the
-//! multiplex width.
-//!
-//! The evaluator stage replays the sequential engine exactly, so on a
-//! freshly compiled spec the pipelined rows must also reproduce the
-//! sequential engine's evaluation counters. Multiplexed sessions
-//! interleave runs on the shared caches, so their counters depend on
+//! `differential/mod.rs`: one session at a time, and three multiplexed on
+//! one worker. Multiplexed sessions finish in whatever order their
+//! executors answer and retire into index-ordered slots, so the report may
+//! depend on neither the width nor the worker count. They also interleave
+//! runs on the shared caches, so their evaluation counters depend on
 //! scheduling and only their reports are compared.
 //!
 //! The step memo has no switch to compare against, so it is checked cold
@@ -22,48 +18,16 @@ mod differential;
 
 use differential::*;
 use quickstrom::prelude::*;
+use quickstrom::quickstrom_apps::Counter;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
-fn pipeline_rows() -> Vec<Row> {
+fn session_rows() -> Vec<Row> {
     runtime_rows(1, SnapshotMode::Delta)
 }
 
 fn check(bundled: Bundled) {
-    let checked = check_bundled(bundled, &pipeline_rows());
-    assert_counters_match_sequential(&bundled.case(), &checked.oracle);
-}
-
-/// Checks `case` sequentially and pipelined at each depth, each on its
-/// own freshly compiled spec so that all start equally cold, and asserts
-/// that every pipelined check reproduces the oracle's report and the
-/// sequential engine's evaluation counters.
-fn assert_counters_match_sequential(case: &Case, oracle: &Report) {
-    let counters = |row: &Row| {
-        let spec = quickstrom::specstrom::load(case.spec).expect("bundled spec compiles");
-        let report = case.check(&spec, row);
-        assert_eq!(&report, oracle, "{} under {row:?}: diverged", case.name);
-        let t = report.timings();
-        [
-            t.atoms_total,
-            t.atoms_reevaluated,
-            t.atom_memo_hits,
-            t.atom_memo_misses,
-            t.ltl_table_hits,
-            t.ltl_states,
-            t.step_memo_hits,
-        ]
-    };
-    let sequential = counters(&SEQUENTIAL);
-    let pipelined = pipeline_rows()
-        .into_iter()
-        .filter(|row| matches!(row.runtime, Runtime::Pipelined { .. }));
-    for row in pipelined {
-        assert_eq!(
-            counters(&row),
-            sequential,
-            "{} under {row:?}: evaluation counters differ from the sequential engine's",
-            case.name
-        );
-    }
+    check_bundled(bundled, &session_rows());
 }
 
 bundled_tests! {
@@ -78,7 +42,7 @@ bundled_tests! {
 
 #[test]
 fn faulty_entry_shrinks_identically_across_pipeline_modes() {
-    check_faulty(&pipeline_rows());
+    check_faulty(&session_rows());
 }
 
 #[test]
@@ -86,26 +50,18 @@ fn registry_sweep_agrees_across_pipeline_jobs_snapshots_engines_and_caches() {
     check_registry(0);
 }
 
-/// The speculation window bounds how far the driver can run past the
-/// canonical stop point, so the shape of speculation differs wildly
-/// between depth 1 (near-lockstep), 4 and 64 (the driver can race a whole
-/// run ahead) — but the evaluator discards the speculative tail
-/// unprocessed, so every depth must produce the oracle's report.
+/// §3.4 event timeouts under every row: each observed `tick?` makes the
+/// checker send a `Wait`, and the runs must stop at the action budget
+/// exactly as the oracle's do.
 #[test]
-fn speculation_depth_never_leaks_into_reports() {
-    let rows: Vec<Row> = [1, 4, 64]
-        .into_iter()
-        .map(|depth| Row {
-            runtime: Runtime::Pipelined { depth },
-            ..SEQUENTIAL
-        })
-        .collect();
-    check_bundled(Bundled::TodoMvc, &rows);
+fn event_timeouts_match_the_oracle_in_every_row() {
+    check_event_timeouts(&rows());
 }
 
 /// Several in-flight sessions per worker, with and without extra
 /// workers: slot-ordered retirement keeps the merged report equal to the
-/// oracle's for every (jobs, multiplex) combination.
+/// oracle's for every (jobs, multiplex) combination — also when later
+/// runs finish first.
 #[test]
 fn multiplexed_sessions_match_sequential_reports() {
     let rows: Vec<Row> = [(1, 4), (2, 2), (2, 4), (4, 1)]
@@ -117,6 +73,27 @@ fn multiplexed_sessions_match_sequential_reports() {
         })
         .collect();
     check_bundled(Bundled::Counter, &rows);
+    // Executors alternate between no delay and 2 ms per message in
+    // construction order, so with three sessions in flight on one worker
+    // a slow run retires after the fast runs started behind it.
+    let built = AtomicUsize::new(0);
+    let case = Case::new(
+        "counter, alternating latency",
+        quickstrom::specs::COUNTER,
+        Box::new(move |config| {
+            let slow = built.fetch_add(1, Ordering::SeqCst) % 2 == 1;
+            let delay = Duration::from_millis(if slow { 2 } else { 0 });
+            Box::new(LatencyExecutor::new(
+                WebExecutor::with_config(Counter::new, config),
+                delay,
+            ))
+        }),
+        quick_options(),
+    );
+    case.run(&[Row {
+        runtime: Runtime::Multiplexed { width: 3 },
+        ..SEQUENTIAL
+    }]);
 }
 
 /// Checks `case` cold and then warm on one compiled spec at jobs 1. The

@@ -44,7 +44,7 @@ fn flag_without_value_is_rejected() {
 fn unparsable_numbers_are_rejected() {
     assert_rejected(&["table1", "--tests", "abc"], "--tests");
     assert_rejected(&["table1", "--jobs", "x"], "--jobs");
-    assert_rejected(&["table1", "--pipeline-depth", "-1"], "--pipeline-depth");
+    assert_rejected(&["table1", "--multiplex", "x"], "--multiplex");
 }
 
 #[test]
@@ -54,6 +54,8 @@ fn deleted_engine_flags_are_rejected() {
         &["table1", "--atom-cache", "off"],
         &["table1", "--step-memo", "off"],
         &["table1", "--no-mask-atoms"],
+        &["table1", "--pipeline", "off"],
+        &["table1", "--pipeline-depth", "4"],
         &["lint", "--fingerprint", "spec-aware"],
     ] {
         assert_rejected(args, args[1]);

@@ -15,7 +15,7 @@
 //!
 //! The replay is deterministic — it consumes only the recorded trace —
 //! and contains no wall-clock values, so explanations are bit-identical
-//! across jobs settings, pipelining modes and machines.
+//! across jobs settings, multiplex widths and machines.
 
 use crate::options::CheckOptions;
 use crate::report::Counterexample;

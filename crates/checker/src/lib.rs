@@ -29,19 +29,20 @@
 //! value-keyed atom memo and the step memo, falling back to the plain
 //! stepper ([`quickltl::Evaluator`]) only past the automaton's state cap.
 //! The stepper also drives [`explain_failure`], and the reference checker
-//! in [`oracle`] — the plain stepper, every atom expanded afresh, on the
-//! sequential runtime — is what the differential tests hold production
-//! reports to. It is reachable from tests only, never through
+//! in [`oracle`] — the plain stepper, every atom expanded afresh, one run
+//! at a time — is what the differential tests hold production reports
+//! to. It is reachable from tests only, never through
 //! [`CheckOptions`].
 //!
-//! By default each run itself executes on the two-stage *pipelined*
-//! runtime (`pipeline`): a driver stage owns the executor and the action
-//! strategy while an evaluator stage progresses the formula, lagging by up
-//! to [`CheckOptions::pipeline_depth`] states; a definitive verdict
-//! cancels the driver and discards the speculative tail, keeping reports
-//! bit-identical to the sequential engine
-//! ([`CheckOptions::pipeline`]` = `[`PipelineMode::Off`]).
-//!
+//! Each run is one resumable session (`session`): it sends `Start`, then
+//! alternates between ingesting the executor's replies and choosing the
+//! next message — a `Wait` when an observed event declared a timeout, an
+//! `Act` otherwise — until a definitive verdict or the action budget ends
+//! it. With [`CheckOptions::multiplex`] greater than one, each worker keeps
+//! that many sessions in flight and steps whichever has replies, each
+//! executor on its own thread, which hides a slow executor's latency.
+//! Reports do not depend on the width.
+
 //! ## Example
 //!
 //! A complete check against a tiny hand-rolled executor (real executors
@@ -105,9 +106,9 @@
 #![forbid(unsafe_code)]
 
 pub mod explain;
+mod multiplex;
 pub mod options;
 pub mod oracle;
-mod pipeline;
 pub mod pool;
 pub mod report;
 mod run;

@@ -27,53 +27,23 @@ pub enum FingerprintMode {
     SpecAware,
 }
 
-/// Whether each run executes as two overlapped pipeline stages or as the
-/// classic sequential loop.
+/// The session runtime's name, as run records report it. There is one
+/// runtime (see [`CheckOptions::multiplex`]), so this has one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineMode {
-    /// Two-stage pipelined runtime: a *driver* stage owns the executor and
-    /// the action strategy (selection needs only the snapshot/delta and
-    /// coverage fingerprints, never the LTL verdict) and streams state
-    /// updates into a bounded per-run channel; an *evaluator* stage
-    /// consumes them — atom memo, automaton step, trace bookkeeping —
-    /// lagging by up to [`CheckOptions::pipeline_depth`] states. A
-    /// definitive verdict reached mid-pipeline cancels the driver and
-    /// truncates the speculative tail, so reports stay bit-identical to
-    /// [`PipelineMode::Off`] (pinned by the `differential_pipeline`
-    /// suite).
+    /// Each run is one sequential session: send a message, ingest its
+    /// replies, progress the formula, choose the next message.
     #[default]
-    On,
-    /// The sequential engine: perform → ingest → LTL-step before the next
-    /// action fires. Always used for shrink replays, whose runs are short
-    /// and verdict-bound, and by the reference checker
-    /// ([`crate::oracle`]).
     Off,
 }
 
 impl PipelineMode {
-    /// The mode's display name (also the `--pipeline` flag syntax).
+    /// The runtime's display name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            PipelineMode::On => "on",
             PipelineMode::Off => "off",
         }
-    }
-
-    /// Parses a `--pipeline` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<PipelineMode> {
-        match s {
-            "on" | "pipelined" => Some(PipelineMode::On),
-            "off" | "sequential" => Some(PipelineMode::Off),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for PipelineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -113,22 +83,14 @@ pub struct CheckOptions {
     /// fallback is verdict-invisible; the cap only bounds memory and is
     /// exposed mainly so tests can force the fallback path.
     pub automaton_state_cap: usize,
-    /// Whether runs execute as two overlapped stages (driver + evaluator,
-    /// the default) or as the classic sequential loop. See
-    /// [`PipelineMode`].
+    /// The session runtime, kept for run records: it has one value.
     pub pipeline: PipelineMode,
-    /// How many states the driver stage may run ahead of the evaluator
-    /// stage under [`PipelineMode::On`] — the bound of the per-run state
-    /// channel. Larger depths hide more executor latency but speculate
-    /// further past a mid-pipeline verdict (the speculative tail is always
-    /// truncated, so the depth is report-invisible). Clamped to at least
-    /// 1.
-    pub pipeline_depth: usize,
-    /// How many in-flight pipelined sessions each worker multiplexes
-    /// (poll-driven, retired in run-index order so `jobs = N` determinism
-    /// is preserved). `1` means one session at a time per worker; larger
-    /// values help when the executor has real latency (remote executors,
-    /// browsers). Report-invisible. Clamped to at least 1.
+    /// How many sessions each worker keeps in flight, stepping whichever
+    /// has replies while the others wait on their executors (each on its
+    /// own thread). Runs retire in run-index order, so the report is the
+    /// same for every value. `1` drives one session at a time through a
+    /// blocking `send`; larger values help when the executor has real
+    /// latency (remote executors, browsers). Clamped to at least 1.
     pub multiplex: usize,
 }
 
@@ -145,8 +107,7 @@ impl Default for CheckOptions {
             fingerprint: FingerprintMode::Shape,
             atom_memo_capacity: 65_536,
             automaton_state_cap: 4096,
-            pipeline: PipelineMode::On,
-            pipeline_depth: 16,
+            pipeline: PipelineMode::Off,
             multiplex: 1,
         }
     }
@@ -226,22 +187,6 @@ impl CheckOptions {
         self
     }
 
-    /// Returns the options with the given pipeline mode.
-    #[must_use]
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Returns the options with the given pipeline depth (clamped to at
-    /// least 1 — a zero-capacity channel would be a rendezvous, i.e. no
-    /// pipelining at all).
-    #[must_use]
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
     /// Returns the options with the given per-worker session multiplexing
     /// factor (clamped to at least 1).
     #[must_use]
@@ -271,8 +216,7 @@ mod tests {
         assert_eq!(o.fingerprint, FingerprintMode::Shape);
         assert_eq!(o.atom_memo_capacity, 65_536);
         assert_eq!(o.automaton_state_cap, 4096);
-        assert_eq!(o.pipeline, PipelineMode::On);
-        assert_eq!(o.pipeline_depth, 16);
+        assert_eq!(o.pipeline, PipelineMode::Off);
         assert_eq!(o.multiplex, 1);
     }
 
@@ -289,11 +233,7 @@ mod tests {
             .with_fingerprint(FingerprintMode::SpecAware)
             .with_atom_memo_capacity(0)
             .with_automaton_state_cap(0)
-            .with_pipeline(PipelineMode::Off)
-            .with_pipeline_depth(0)
             .with_multiplex(0);
-        assert_eq!(o.pipeline, PipelineMode::Off);
-        assert_eq!(o.pipeline_depth, 1, "pipeline depth clamps to at least 1");
         assert_eq!(o.multiplex, 1, "multiplex clamps to at least 1");
         assert_eq!(
             o.atom_memo_capacity, 1,
@@ -309,16 +249,5 @@ mod tests {
         assert_eq!(o.strategy, SelectionStrategy::LeastTried);
         assert_eq!(o.jobs, 4);
         assert_eq!(o.hard_action_cap(), 30 + 20 + 16);
-    }
-
-    #[test]
-    fn pipeline_mode_names_round_trip() {
-        for mode in [PipelineMode::On, PipelineMode::Off] {
-            assert_eq!(PipelineMode::parse(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(PipelineMode::parse("pipelined"), Some(PipelineMode::On));
-        assert_eq!(PipelineMode::parse("sequential"), Some(PipelineMode::Off));
-        assert_eq!(PipelineMode::parse("nope"), None);
     }
 }

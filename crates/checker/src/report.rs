@@ -129,14 +129,12 @@ macro_rules! phase_timings {
         }
 
         impl PhaseTimings {
-            /// Component-wise accumulation ([`ltl_states`] and
-            /// [`pipeline_depth`] combine by max — the automaton table is
-            /// shared across a property's runs and the depth is a
-            /// configuration constant, so both are snapshots, not
-            /// independent contributions).
+            /// Component-wise accumulation ([`ltl_states`] combines by
+            /// max — the automaton table is shared across a property's
+            /// runs, so its size is a snapshot, not an independent
+            /// contribution).
             ///
             /// [`ltl_states`]: PhaseTimings::ltl_states
-            /// [`pipeline_depth`]: PhaseTimings::pipeline_depth
             pub fn absorb(&mut self, other: PhaseTimings) {
                 // Exhaustive destructure: a field added to the table above
                 // is named here by expansion; one added outside it fails
@@ -146,13 +144,11 @@ macro_rules! phase_timings {
             }
 
             /// Zeroes the counters that a shrink replay re-accumulates
-            /// from scratch — atom, memo, LTL, and pipeline-speculation
-            /// counters — while keeping the wall-clock fields, so
-            /// absorbing a replay's timings into a run's does not
-            /// double-count work the replay shares with the original run
-            /// (the property-level memo and automaton table are warm, and
-            /// replays are sequential, so their counters would
-            /// mis-attribute).
+            /// from scratch — atom, memo and LTL counters — while keeping
+            /// the wall-clock fields, so absorbing a replay's timings into
+            /// a run's does not double-count work the replay shares with
+            /// the original run (the property-level memo and automaton
+            /// table are warm, so their counters would mis-attribute).
             pub fn reset_for_replay(&mut self) {
                 $( phase_timings!(@replay $replay, self.$name); )*
             }
@@ -234,34 +230,6 @@ phase_timings! {
     /// re-interned a structurally novel observation of the same
     /// transition. Every other counter replays exactly.
     step_memo_hits: u64 => (sum, zero),
-    /// The bound on how far the driver stage ran ahead of the evaluator
-    /// stage (`CheckOptions::pipeline_depth`). Zero under
-    /// `PipelineMode::Off`. A configuration constant, not an
-    /// accumulation, so [`absorb`] combines it by *maximum*.
-    ///
-    /// Note that under `PipelineMode::On`, [`executor_s`] and [`eval_s`]
-    /// are measured on concurrent stages: they overlap and no longer sum
-    /// to wall-clock time.
-    ///
-    /// [`absorb`]: PhaseTimings::absorb
-    /// [`executor_s`]: PhaseTimings::executor_s
-    /// [`eval_s`]: PhaseTimings::eval_s
-    pipeline_depth: u64 => (max, zero),
-    /// Seconds the driver (executor) stage spent blocked because the
-    /// per-run state channel was full — the evaluator was the bottleneck
-    /// — plus time parked at a budget boundary waiting for the evaluator
-    /// to catch up. Zero under `PipelineMode::Off`.
-    executor_stall_s: f64 => (sum, zero),
-    /// Seconds the evaluator stage spent starved because the state channel
-    /// was empty — the executor was the bottleneck. Zero under
-    /// `PipelineMode::Off`.
-    evaluator_stall_s: f64 => (sum, zero),
-    /// States the driver stage executed past the canonical stop point
-    /// (a definitive verdict the evaluator reached while the driver sped
-    /// ahead). These speculative states are truncated from every report
-    /// artefact — trace, states counter, coverage, scripts — so they are
-    /// visible only here. Zero under `PipelineMode::Off`.
-    speculative_states_discarded: u64 => (sum, zero),
 }
 
 /// The aggregate result of checking one property.
@@ -534,36 +502,26 @@ mod tests {
             eval_s: 2.0,
             atoms_total: 10,
             ltl_states: 5,
-            pipeline_depth: 16,
-            executor_stall_s: 0.5,
-            evaluator_stall_s: 0.25,
-            speculative_states_discarded: 3,
+            ltl_table_hits: 3,
             ..PhaseTimings::default()
         };
         let b = PhaseTimings {
             executor_s: 1.0,
             ltl_states: 7,
-            pipeline_depth: 4,
-            executor_stall_s: 0.5,
-            speculative_states_discarded: 2,
+            ltl_table_hits: 2,
             ..PhaseTimings::default()
         };
         a.absorb(b);
         assert_eq!(a.executor_s, 2.0);
         assert_eq!(a.ltl_states, 7, "table size combines by max");
-        assert_eq!(a.pipeline_depth, 16, "depth combines by max");
-        assert_eq!(a.executor_stall_s, 1.0);
-        assert_eq!(a.speculative_states_discarded, 5);
+        assert_eq!(a.ltl_table_hits, 5);
 
         a.reset_for_replay();
         assert_eq!(a.executor_s, 2.0, "wall-clock fields survive the reset");
         assert_eq!(a.eval_s, 2.0);
         assert_eq!(a.atoms_total, 0);
         assert_eq!(a.ltl_states, 0);
-        assert_eq!(a.pipeline_depth, 0);
-        assert_eq!(a.executor_stall_s, 0.0);
-        assert_eq!(a.evaluator_stall_s, 0.0);
-        assert_eq!(a.speculative_states_discarded, 0);
+        assert_eq!(a.ltl_table_hits, 0);
     }
 
     #[test]
@@ -621,7 +579,7 @@ mod tests {
         // The destructure in `absorb` already makes a missing rule a
         // compile error; this pins the expected shape so a refactor that
         // bypasses the macro shows up as a failing count.
-        assert_eq!(PhaseTimings::FIELD_RULES.len(), 14);
+        assert_eq!(PhaseTimings::FIELD_RULES.len(), 10);
         let wall_clock: Vec<&str> = PhaseTimings::FIELD_RULES
             .iter()
             .filter(|(_, _, replay)| *replay == "keep")

@@ -5,9 +5,9 @@
 //! progression engine (the property's shared transition table, or the
 //! plain stepper, see [`Role`]), the recorded trace, the coverage
 //! observations and the action-selection state, but never talks to an
-//! executor itself. The I/O half lives in
-//! [`crate::session::Session`], which couples a `Run` with an executor
-//! and drives it to completion.
+//! executor itself. The protocol half lives in
+//! [`crate::session::Session`], which steps a `Run` one executor reply
+//! batch at a time.
 //!
 //! Action selection is delegated to a pluggable
 //! [`Strategy`](quickstrom_explore::Strategy) built from
@@ -34,11 +34,11 @@ use quickstrom_protocol::{
 use rand::rngs::StdRng;
 use specstrom::{
     eval_guard, expand_thunk, ActionValue, AtomFootprint, AtomKeyer, CheckDef, CompiledSpec,
-    EvalCtx, MemoEntry, PropertyCache, StepEntry, StepNext, Thunk,
+    EvalCtx, MemoEntry, PropertyCache, StepEntry, StepNext, Thunk, WordMap, WordSet,
 };
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Per-run semantic record for one distinct atom (keyed by
@@ -135,11 +135,12 @@ fn projection_hash(
 /// discipline as the atom records).
 fn bindings_sig(
     keyer: &mut AtomKeyer,
-    keys: &mut HashMap<(usize, usize), (Thunk, u64)>,
+    keys: &mut WordMap<(usize, usize), (Thunk, u64)>,
     bindings: &[Thunk],
 ) -> u64 {
     let mut hash = ProjectionHash::new();
-    let mut first_seen: HashMap<(usize, usize), u64> = HashMap::with_capacity(bindings.len());
+    let mut first_seen: WordMap<(usize, usize), u64> =
+        WordMap::with_capacity_and_hasher(bindings.len(), Default::default());
     for (i, thunk) in bindings.iter().enumerate() {
         let key = keys
             .entry(thunk.identity())
@@ -241,12 +242,6 @@ pub(crate) enum Role {
     /// The reference checker's evaluator ([`crate::oracle`]): the plain
     /// stepper with every atom expanded afresh. Touches no shared cache.
     Oracle,
-    /// The executor-side stage of the pipelined runtime
-    /// ([`crate::pipeline`]): mirrors only
-    /// what action selection needs — the resolved state, the action
-    /// bookkeeping, and (when the strategy reads it) the coverage
-    /// fingerprint — and never expands an atom or steps the formula.
-    Observer,
 }
 
 /// How this run progresses its formula.
@@ -293,29 +288,13 @@ enum StepPlan {
     Fallback(Evaluator<Thunk>),
 }
 
-/// The per-run machinery shared by random runs and scripted replays.
-///
-/// A `Run` plays one of the three [`Role`]s. The evaluator and oracle
-/// roles are the full machine — formula progression, trace recording,
-/// coverage — and differ only in how they progress the formula. The
-/// observer role is the executor-side half of the pipelined runtime: its
-/// [`Run::definitive`] stays `None`, and that stage's stop signal comes
-/// from the evaluator stage instead.
+/// The per-run machinery shared by random runs and scripted replays:
+/// formula progression, trace recording, coverage and action selection.
+/// The two [`Role`]s differ only in how they progress the formula.
 pub(crate) struct Run<'a> {
     pub(crate) spec: &'a CompiledSpec,
     pub(crate) check: &'a CheckDef,
     pub(crate) options: &'a CheckOptions,
-    /// Progress the formula and record the trace? The observer role
-    /// leaves both alone.
-    evaluate: bool,
-    /// Maintain coverage fingerprints? Always in the evaluator and oracle
-    /// roles; in the observer role only when the strategy reads coverage
-    /// ([`SelectionStrategy::needs_coverage`](quickstrom_explore::SelectionStrategy)).
-    track_coverage: bool,
-    /// States ingested so far. Equal to `trace.len()` in the evaluator
-    /// role; the observer role records no trace, so protocol versions and
-    /// delta checks key off this counter instead.
-    pub(crate) states_count: usize,
     engine: Engine,
     /// The property's shared transition table, atom memo and step memo —
     /// present exactly in the evaluator role, and kept even after a
@@ -360,10 +339,15 @@ pub(crate) struct Run<'a> {
     pub(crate) eval_time: std::time::Duration,
     /// Per-run semantic records for distinct atoms, filled lazily on
     /// first expansion request.
-    atom_records: HashMap<(usize, usize), AtomRecord>,
+    atom_records: WordMap<(usize, usize), AtomRecord>,
     /// The cross-run semantic keyer (content-hashes environment chains,
-    /// memoized per frame address).
-    atom_keyer: AtomKeyer,
+    /// memoized per frame address), shared by atom records and bindings
+    /// signatures: a successor binding keyed at one step is the atom
+    /// expanded at the next, so its frames are hashed once. A `RefCell`
+    /// because both the expansion closure and the engine match key thunks
+    /// within one step; `atom_records` and `binding_keys` pin every keyed
+    /// thunk, as the keyer's frame cache requires.
+    keyer: RefCell<AtomKeyer>,
     /// O(changed) cache of per-selector masked projection terms, fed by
     /// the same deltas as the coverage fingerprinter.
     projection_terms: ProjectionTermCache,
@@ -381,15 +365,10 @@ pub(crate) struct Run<'a> {
     /// Steps answered entirely by the step memo (no expansion, no
     /// observation, no table step).
     pub(crate) step_memo_hits: u64,
-    /// Semantic keyer for bindings signatures. Separate from
-    /// `atom_keyer` so the engine match can key successor bindings while
-    /// the expansion closure holds `atom_keyer`; keys are content-based,
-    /// so the two keyers agree.
-    binding_keyer: AtomKeyer,
     /// Identity-keyed cache of binding thunk keys (the same thunks recur
     /// every step while a residual is stable). Each entry pins its thunk
     /// so the identity pointers stay valid — see [`bindings_sig`].
-    binding_keys: HashMap<(usize, usize), (Thunk, u64)>,
+    binding_keys: WordMap<(usize, usize), (Thunk, u64)>,
     /// Structured-tracing sink for this run's spans (disabled by default;
     /// never influences control flow — see DESIGN.md, *Observability*).
     pub(crate) sink: TraceSink,
@@ -431,8 +410,8 @@ impl<'a> Run<'a> {
                 &spec.analysis,
             )
         });
-        let mut binding_keyer = AtomKeyer::new();
-        let mut binding_keys = HashMap::new();
+        let keyer = RefCell::new(AtomKeyer::new());
+        let mut binding_keys = WordMap::default();
         let engine = match &cache {
             Some(cache) => Engine::Automaton {
                 pos: AutomatonPos::Running {
@@ -443,16 +422,14 @@ impl<'a> Run<'a> {
                         .start(),
                     bindings: vec![property.clone()],
                     sig: bindings_sig(
-                        &mut binding_keyer,
+                        &mut keyer.borrow_mut(),
                         &mut binding_keys,
                         std::slice::from_ref(property),
                     ),
                 },
                 states_seen: 0,
             },
-            // The oracle steps the plain stepper; the observer role never
-            // steps at all and carries an inert one, so `definitive()`
-            // stays `None`.
+            // The oracle steps the plain stepper.
             None => Engine::Stepper(Evaluator::new(Formula::Atom(property.clone()))),
         };
         let mut events_by_selector: BTreeMap<Selector, Vec<Symbol>> = BTreeMap::new();
@@ -472,9 +449,6 @@ impl<'a> Run<'a> {
             spec,
             check,
             options,
-            evaluate: role != Role::Observer,
-            track_coverage: role != Role::Observer || options.strategy.needs_coverage(),
-            states_count: 0,
             engine,
             cache,
             ltl_table_hits: 0,
@@ -499,8 +473,8 @@ impl<'a> Run<'a> {
             last_report: None,
             pending_wait: None,
             eval_time: std::time::Duration::ZERO,
-            atom_records: HashMap::new(),
-            atom_keyer: AtomKeyer::new(),
+            atom_records: WordMap::default(),
+            keyer,
             projection_terms: ProjectionTermCache::new(),
             atoms_total: 0,
             atoms_reevaluated: 0,
@@ -508,7 +482,6 @@ impl<'a> Run<'a> {
             atom_memo_misses: 0,
             atom_memo_evictions: 0,
             step_memo_hits: 0,
-            binding_keyer,
             binding_keys,
             sink: TraceSink::disabled(),
             metrics: MetricsRecorder::disabled(),
@@ -577,12 +550,13 @@ impl<'a> Run<'a> {
         let happened = self.happened_for(msg, action);
         let update = msg.update();
         if let StateUpdate::Delta(delta) = update {
-            let expected = self.states_count as u64 + 1;
+            let expected = self.version() + 1;
             if delta.state_version != expected {
                 return Err(CheckError::new(format!(
                     "snapshot delta carries state version {} but the checker \
                      has seen {} state(s) (expected version {expected})",
-                    delta.state_version, self.states_count,
+                    delta.state_version,
+                    self.trace.len(),
                 )));
             }
         }
@@ -605,16 +579,11 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        if self.track_coverage {
-            let fp = self.coverage.fingerprinter().observe_update(&state, update);
-            self.coverage.observe_state(fp, self.script.len());
-        }
-        if self.evaluate {
-            self.trace.push(TraceEntry {
-                state: state.clone(),
-            });
-        }
-        self.states_count += 1;
+        let fp = self.coverage.fingerprinter().observe_update(&state, update);
+        self.coverage.observe_state(fp, self.script.len());
+        self.trace.push(TraceEntry {
+            state: state.clone(),
+        });
         // Event-declared timeouts (§3.4): when a timeout is associated with
         // an event and that event occurs, the checker requests a Wait.
         if matches!(msg, ExecutorMsg::Event { .. }) {
@@ -623,14 +592,6 @@ impl<'a> Run<'a> {
                     self.pending_wait = Some(t);
                 }
             }
-        }
-        if !self.evaluate {
-            // Observer role: the driver only needs the resolved state (for
-            // guards and targets) and the pending-wait bookkeeping above —
-            // formula progression is the evaluator stage's job, and
-            // `last_report` stays `None` so `definitive()` never fires.
-            self.last_state = Some(state);
-            return Ok(());
         }
         let ctx = EvalCtx::with_state(&state, self.options.default_demand);
         // Step-memo preparation: hash the state's value signature (the
@@ -667,7 +628,7 @@ impl<'a> Run<'a> {
         let cache = self.cache.as_deref();
         let memo = cache.map(|c| &c.atoms);
         let records = &mut self.atom_records;
-        let keyer = &mut self.atom_keyer;
+        let keyer = &self.keyer;
         let projection_terms = &mut self.projection_terms;
         let masks: &BTreeMap<Selector, FieldMask> = &self.spec.analysis.masks;
         let atoms_total = &mut self.atoms_total;
@@ -677,7 +638,6 @@ impl<'a> Run<'a> {
         let memo_evictions = &mut self.atom_memo_evictions;
         let ltl_table_hits = &mut self.ltl_table_hits;
         let step_memo_hits = &mut self.step_memo_hits;
-        let binding_keyer = &mut self.binding_keyer;
         let binding_keys = &mut self.binding_keys;
         let sink = &mut self.sink;
         let last_report = self.last_report;
@@ -691,7 +651,7 @@ impl<'a> Run<'a> {
                 return Ok(Served::Formula(expand_thunk(thunk, &ctx)?));
             };
             let record = records.entry(thunk.identity()).or_insert_with(|| {
-                let key = keyer.key(thunk);
+                let key = keyer.borrow_mut().key(thunk);
                 AtomRecord {
                     atom: thunk.clone(),
                     key,
@@ -805,15 +765,15 @@ impl<'a> Run<'a> {
                     // Abstract ids are assigned in discovery order, which
                     // is deterministic given the table state, so equal
                     // concrete steps produce equal observation keys.
-                    let mut ids: HashMap<(usize, usize), AtomId> =
-                        HashMap::with_capacity(bindings.len());
+                    let mut ids: WordMap<(usize, usize), AtomId> =
+                        WordMap::with_capacity_and_hasher(bindings.len(), Default::default());
                     for (i, thunk) in bindings.iter().enumerate() {
                         ids.insert(thunk.identity(), i as AtomId);
                     }
                     let mut step_thunks: Vec<Thunk> = bindings.clone();
                     let mut obs: Observation = Vec::new();
                     let mut queue: VecDeque<AtomId> = live.iter().copied().collect();
-                    let mut seen: HashSet<AtomId> = HashSet::new();
+                    let mut seen: WordSet<AtomId> = WordSet::default();
                     while let Some(aid) = queue.pop_front() {
                         if !seen.insert(aid) {
                             continue;
@@ -901,8 +861,11 @@ impl<'a> Run<'a> {
                                         .iter()
                                         .map(|&s| step_thunks[s as usize].clone())
                                         .collect();
-                                    let next_sig =
-                                        bindings_sig(binding_keyer, binding_keys, &bindings);
+                                    let next_sig = bindings_sig(
+                                        &mut keyer.borrow_mut(),
+                                        binding_keys,
+                                        &bindings,
+                                    );
                                     cache.steps.insert(
                                         memo_key,
                                         StepEntry {
@@ -1056,12 +1019,8 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Formula demands more states (required-next outstanding)? Only
-    /// meaningful in the evaluator role — the pipelined driver cannot
-    /// answer this (its observer copy is always `false`), so it speculates
-    /// through the budget boundary and the evaluator stage, which can,
-    /// decides where the canonical run ends.
-    pub(crate) fn demands_more(&self) -> bool {
+    /// Formula demands more states (required-next outstanding)?
+    fn demands_more(&self) -> bool {
         matches!(
             self.last_report,
             Some(StepReport::Continue { presumptive: None })
@@ -1069,19 +1028,19 @@ impl<'a> Run<'a> {
     }
 
     /// Has the per-run action budget been spent?
-    pub(crate) fn budget_spent(&self) -> bool {
+    fn budget_spent(&self) -> bool {
         self.actions_done >= self.options.max_actions
     }
 
     /// Has the hard action cap (budget plus demand headroom) been hit?
-    pub(crate) fn at_hard_cap(&self) -> bool {
+    fn at_hard_cap(&self) -> bool {
         self.actions_done >= self.options.hard_action_cap()
     }
 
     /// The protocol version of the next `Act`/`Wait`: how many states this
     /// run has seen.
     pub(crate) fn version(&self) -> u64 {
-        self.states_count as u64
+        self.trace.len() as u64
     }
 
     /// Every enabled action instance at the current state, paired with
@@ -1173,18 +1132,6 @@ impl<'a> Run<'a> {
                 return Ok(None);
             }
         }
-        self.select_action(source)
-    }
-
-    /// The selection half of [`Run::next_action`], without the stop
-    /// conditions: prefix replay, guard-filtered candidate enumeration and
-    /// the strategy pick. Split out because the pipelined driver checks
-    /// only the hard cap before selecting — the budget-boundary stop needs
-    /// `demands_more`, which belongs to the evaluator stage.
-    pub(crate) fn select_action(
-        &mut self,
-        source: &mut ActionSource<'_>,
-    ) -> Result<Option<ActionInstance>, CheckError> {
         match source {
             ActionSource::Random { rng, prefix, pos } => {
                 // Corpus replay-then-extend: walk the prefix first. An
@@ -1244,21 +1191,6 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Records `action` as the last choice, exactly as
-    /// [`Run::select_action`] would have: choice-time fingerprint plus
-    /// interned name and target index. The pipelined evaluator stage calls
-    /// this when replaying an accepted action it did not itself select, so
-    /// the acceptance bookkeeping ([`Run::note_accepted`]/
-    /// [`Run::note_effect`]) credits the same `(state, action)` pair the
-    /// sequential engine would.
-    pub(crate) fn note_chosen(&mut self, action: &ActionInstance) {
-        self.last_choice = Choice {
-            fp: self.coverage.current(),
-            name: Symbol::intern(&action.name),
-            target_index: target_index(action),
-        };
-    }
-
     /// Script bookkeeping for an accepted action, called *before* the
     /// resulting states are ingested so that trace positions (and the
     /// corpus prefix lengths harvested from them) include the action
@@ -1275,9 +1207,6 @@ impl<'a> Run<'a> {
     /// pair against the choice-time fingerprint, with productivity read
     /// off the now-current fingerprint ([`RunCoverage::note_action`]).
     pub(crate) fn note_effect(&mut self) {
-        if !self.track_coverage {
-            return;
-        }
         let Choice {
             fp,
             name,

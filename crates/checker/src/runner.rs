@@ -20,24 +20,26 @@
 //! fan out over a worker pool ([`crate::pool`]). Each run's RNG seed is
 //! derived from `(master seed, run index)` by [`derive_run_seed`], so a
 //! run's behaviour depends only on its index — never on which worker
-//! executed it or in what order runs completed. Results are merged back in
-//! canonical run-index order, reproducing the sequential stop-at-first-
-//! failure semantics exactly: the report for `jobs = N` is identical to
-//! the report for `jobs = 1`. See DESIGN.md, *Parallel runtime*.
+//! executed it or in what order runs completed. With
+//! [`CheckOptions::multiplex`] greater than one, each worker also keeps
+//! several runs in flight (DESIGN.md, *Multiplexed sessions*). Results are
+//! merged back in canonical run-index order, reproducing the sequential
+//! stop-at-first-failure semantics exactly: the report for any `jobs` and
+//! `multiplex` is identical to the report for one run at a time. See
+//! DESIGN.md, *Parallel runtime*.
 
-use crate::options::{CheckOptions, PipelineMode};
-use crate::pipeline;
+use crate::multiplex;
+use crate::options::CheckOptions;
 use crate::pool::{self, Cancellation};
 use crate::report::{Counterexample, PhaseTimings, PropertyReport, Report, RunResult};
 use crate::run::{ActionSource, Role, RunOutcome};
-use crate::session::Session;
+use crate::session::{self, Session};
 use quickstrom_explore::{CoverageMap, CoverageStats, RunCoverage, TraceCorpus};
 use quickstrom_obs::{
     AttrValue, FailureExplanation, MetricsRecorder, MetricsRegistry, ObsOptions, SpanKind,
     TraceLog, TraceSink, TrackLog,
 };
-use quickstrom_protocol::TransportStats;
-use quickstrom_protocol::{ActionInstance, Executor};
+use quickstrom_protocol::{ActionInstance, Executor, TransportStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specstrom::{CheckDef, CompiledSpec, Thunk};
@@ -165,7 +167,8 @@ impl CheckCtx {
 /// aggregated): the trace tracks and the merged metrics registry.
 #[derive(Debug, Default)]
 pub struct RunObs {
-    /// Trace tracks (driver/evaluator per run; empty when tracing is off).
+    /// Trace tracks (one per run, plus the shrink search's; empty when
+    /// tracing is off).
     pub tracks: Vec<TrackLog>,
     /// Merged metrics (empty when metrics are off).
     pub metrics: MetricsRegistry,
@@ -179,8 +182,6 @@ impl RunObs {
 }
 
 /// One executed run, with the observation totals the report aggregates.
-/// Built by the sequential engine here and by the pipelined engine in
-/// [`crate::pipeline`].
 pub(crate) struct ExecutedRun {
     pub(crate) states: usize,
     pub(crate) actions: usize,
@@ -199,186 +200,10 @@ pub(crate) struct ExecutedRun {
     pub(crate) obs: RunObs,
 }
 
-/// Executes the run at `index`: fresh executor, fresh RNG seeded from
-/// `(options.seed, index)`, optionally replaying a corpus `prefix` before
-/// extending with strategy-chosen actions.
-#[allow(clippy::too_many_arguments)] // internal: name + thunk + prefix push it over
-fn run_one(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    make_executor: MakeExecutor<'_>,
-    index: usize,
-    prefix: Option<&[ActionInstance]>,
-    ctx: &CheckCtx,
-) -> Result<ExecutedRun, CheckError> {
-    if options.pipeline == PipelineMode::On {
-        return pipeline::run_one_pipelined(
-            spec,
-            check,
-            property_name,
-            property,
-            options,
-            make_executor,
-            index,
-            prefix,
-            ctx,
-        );
-    }
-    let mut session = Session::new(
-        spec,
-        check,
-        property_name,
-        property,
-        options,
-        ctx.role,
-        make_executor(),
-    )
-    .with_obs(
-        ctx.sink(2 * index as u64, || format!("run {index}")),
-        ctx.recorder(),
-    );
-    let mut source = ActionSource::Random {
-        rng: StdRng::seed_from_u64(derive_run_seed(options.seed, index as u64)),
-        prefix: prefix.unwrap_or(&[]),
-        pos: 0,
-    };
-    let outcome = session.drive(&mut source)?;
-    let result = match outcome {
-        RunOutcome::Result(result) => result,
-        RunOutcome::ScriptInvalid => {
-            unreachable!("random runs never report script invalidity")
-        }
-    };
-    let (track, metrics) = session.take_obs();
-    Ok(ExecutedRun {
-        states: session.states(),
-        actions: session.actions(),
-        result,
-        timings: session.timings(),
-        transport: session.transport(),
-        script: session.take_script(),
-        coverage: session.take_coverage(),
-        replayed: prefix.is_some(),
-        obs: RunObs {
-            tracks: track.into_iter().collect(),
-            metrics,
-        },
-    })
-}
-
-/// The sequential loop: run in index order, stop at the first failure (or
-/// error), exactly like the original tool.
-#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
-fn run_tests_sequential(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    make_executor: MakeExecutor<'_>,
-    ctx: &CheckCtx,
-) -> Result<Vec<ExecutedRun>, CheckError> {
-    let mut executed = Vec::new();
-    for index in 0..options.tests {
-        let run = run_one(
-            spec,
-            check,
-            property_name,
-            property,
-            options,
-            make_executor,
-            index,
-            None,
-            ctx,
-        )?;
-        let failed = run.result.is_failure();
-        executed.push(run);
-        if failed {
-            break;
-        }
-    }
-    Ok(executed)
-}
-
-/// The parallel fan-out: all run indices are dispatched to the pool;
-/// once some run stops the sequence (failure or error), *later* indices
-/// may be skipped, and the results are merged in canonical index order so
-/// the outcome matches [`run_tests_sequential`] bit for bit.
-#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
-fn run_tests_parallel(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    make_executor: MakeExecutor<'_>,
-    ctx: &CheckCtx,
-) -> Result<Vec<ExecutedRun>, CheckError> {
-    let cancel = Cancellation::new();
-    let multiplexed = options.pipeline == PipelineMode::On && options.multiplex > 1;
-    let slots: Vec<Option<Result<ExecutedRun, CheckError>>> = if multiplexed {
-        // The multiplexed scheduler interleaves several in-flight
-        // pipelined sessions per worker; it applies the same cancellation
-        // protocol internally.
-        pipeline::run_batch_pipelined(
-            spec,
-            check,
-            property_name,
-            property,
-            options,
-            make_executor,
-            0,
-            options.tests,
-            None,
-            Some(&cancel),
-            ctx,
-        )
-    } else {
-        pool::run_ordered(options.jobs, options.tests, |index| {
-            if cancel.should_skip(index) {
-                return None;
-            }
-            let outcome = run_one(
-                spec,
-                check,
-                property_name,
-                property,
-                options,
-                make_executor,
-                index,
-                None,
-                ctx,
-            );
-            let stops = match &outcome {
-                Ok(run) => run.result.is_failure(),
-                Err(_) => true,
-            };
-            if stops {
-                cancel.note_stop(index);
-            }
-            Some(outcome)
-        })
-    };
-    // Merge in canonical order, replaying the sequential decisions: take
-    // runs until the first failure (inclusive) or the first error. Every
-    // index up to that point was executed — skipping only ever happens
-    // strictly after the earliest stop.
-    let mut executed = Vec::new();
-    for slot in slots {
-        let Some(outcome) = slot else {
-            break; // only reachable past the earliest stop
-        };
-        let run = outcome?;
-        let failed = run.result.is_failure();
-        executed.push(run);
-        if failed {
-            break;
-        }
-    }
-    Ok(executed)
+/// Does this outcome end the canonical sequence of runs? Failures and
+/// errors do: a sequential loop would run nothing after them.
+pub(crate) fn stops(outcome: &Result<ExecutedRun, CheckError>) -> bool {
+    outcome.as_ref().map_or(true, |run| run.result.is_failure())
 }
 
 /// How many runs are dispatched between corpus-harvest barriers when the
@@ -402,242 +227,284 @@ struct CorpusOutcome {
     corpus_replays: usize,
 }
 
-/// The coverage-guided loop: runs execute in fixed-size epochs; between
-/// epochs the per-run coverage is merged (in index order) into the
-/// property's map, prefixes that reached property-novel fingerprints
-/// enter the [`TraceCorpus`], and the next epoch's runs are
-/// deterministically seeded with replay-then-extend prefixes.
-///
-/// Stop-at-first-failure matches the sequential semantics: the merge
-/// stops at the first failing index (inclusive); later runs of that
-/// epoch are discarded identically for every `jobs` value.
-#[allow(clippy::too_many_arguments)] // internal: the check context pushes it over
-fn run_tests_corpus(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    make_executor: MakeExecutor<'_>,
-    ctx: &CheckCtx,
-) -> Result<CorpusOutcome, CheckError> {
-    let mut corpus = TraceCorpus::default();
-    let mut coverage = CoverageMap::new();
-    let mut executed = Vec::new();
-    let mut corpus_replays = 0usize;
-    let mut stopped = false;
-    let mut start = 0usize;
-    while start < options.tests && !stopped {
-        let end = (start + CORPUS_EPOCH).min(options.tests);
-        // Seed the epoch from the corpus as it stands at this barrier —
-        // a pure function of (corpus contents, run index).
-        let prefixes: Vec<Option<Vec<ActionInstance>>> = (start..end)
-            .map(|index| {
-                corpus
-                    .schedule(index, options.max_actions)
-                    .map(|entry| entry.script.clone())
-            })
-            .collect();
-        let multiplexed = options.pipeline == PipelineMode::On && options.multiplex > 1;
-        let slots: Vec<Result<ExecutedRun, CheckError>> = if multiplexed {
-            // No cancellation inside an epoch: every slot is executed, so
-            // every slot comes back `Some`.
-            pipeline::run_batch_pipelined(
-                spec,
-                check,
-                property_name,
-                property,
-                options,
-                make_executor,
-                start,
-                end - start,
-                Some(&prefixes),
-                None,
-                ctx,
-            )
-            .into_iter()
-            .map(|slot| slot.expect("corpus epochs run without cancellation"))
-            .collect()
-        } else {
-            pool::run_ordered(options.jobs, end - start, |k| {
-                run_one(
-                    spec,
-                    check,
-                    property_name,
-                    property,
-                    options,
-                    make_executor,
-                    start + k,
-                    prefixes[k].as_deref(),
-                    ctx,
-                )
-            })
+/// The chrome-trace thread id of the shrink search's own track — far above
+/// any run index, which is its run's thread id.
+const SHRINK_TID: u64 = 1 << 32;
+
+/// One property's check: what all of its runs and shrink replays share.
+pub(crate) struct PropertyCheck<'a> {
+    spec: &'a CompiledSpec,
+    check: &'a CheckDef,
+    name: &'a str,
+    property: Thunk,
+    pub(crate) options: &'a CheckOptions,
+    pub(crate) make_executor: MakeExecutor<'a>,
+    ctx: &'a CheckCtx,
+}
+
+impl PropertyCheck<'_> {
+    /// The session of the random run at `index`: a fresh RNG seeded from
+    /// `(options.seed, index)`, replaying a corpus `prefix` (if any)
+    /// before extending with strategy-chosen actions, recorded on the
+    /// run's own trace track.
+    pub(crate) fn session<'s>(
+        &'s self,
+        index: usize,
+        prefix: Option<&'s [ActionInstance]>,
+    ) -> Session<'s> {
+        let source = ActionSource::Random {
+            rng: StdRng::seed_from_u64(derive_run_seed(self.options.seed, index as u64)),
+            prefix: prefix.unwrap_or(&[]),
+            pos: 0,
         };
-        for outcome in slots {
-            let run = outcome?;
-            // Harvest prefixes that reached property-novel fingerprints
-            // *before* merging this run's map — merge order is the
-            // canonical index order, so the corpus contents are
-            // deterministic too.
-            for &(len, fp) in &run.coverage.first_visits {
-                if !coverage.contains_state(fp) && len > 0 {
-                    corpus.add(run.script[..len].to_vec(), fp);
+        self.session_from(source).with_obs(
+            self.ctx.sink(index as u64, || format!("run {index}")),
+            self.ctx.recorder(),
+        )
+    }
+
+    fn session_from<'s>(&'s self, source: ActionSource<'s>) -> Session<'s> {
+        Session::new(
+            self.spec,
+            self.check,
+            self.name,
+            &self.property,
+            self.options,
+            self.ctx.role,
+            source,
+        )
+    }
+
+    /// Executes the run at `index` inline, against a fresh executor.
+    fn run_one(
+        &self,
+        index: usize,
+        prefix: Option<&[ActionInstance]>,
+    ) -> Result<ExecutedRun, CheckError> {
+        let mut executor = (self.make_executor)();
+        let mut session = self.session(index, prefix);
+        let outcome = session::drive(&mut session, executor.as_mut())?;
+        Ok(session.retire(outcome, executor.transport_stats(), prefix.is_some()))
+    }
+
+    /// Runs the random runs `base..base + count`, the `k`-th replaying
+    /// `prefixes[k]` first. Runs go inline on up to `jobs` workers, or
+    /// with `multiplex` sessions in flight per worker
+    /// ([`crate::multiplex`]). Results come back in index order; a slot
+    /// is `None` only when `cancel` skipped it, which happens strictly
+    /// after the earliest recorded stop.
+    fn run_batch(
+        &self,
+        base: usize,
+        count: usize,
+        prefixes: Option<&[Option<Vec<ActionInstance>>]>,
+        cancel: Option<&Cancellation>,
+    ) -> Vec<Option<Result<ExecutedRun, CheckError>>> {
+        if self.options.multiplex > 1 {
+            return multiplex::run_batch(self, base, count, prefixes, cancel);
+        }
+        pool::run_ordered(self.options.jobs, count, |k| {
+            let index = base + k;
+            if cancel.is_some_and(|c| c.should_skip(index)) {
+                return None;
+            }
+            let outcome = self.run_one(index, prefixes.and_then(|p| p[k].as_deref()));
+            if stops(&outcome) {
+                if let Some(cancel) = cancel {
+                    cancel.note_stop(index);
                 }
             }
-            coverage.merge(&run.coverage.map);
-            if run.replayed {
-                corpus_replays += 1;
-            }
+            Some(outcome)
+        })
+    }
+
+    /// The test loop: every run index goes to [`Self::run_batch`], and the
+    /// results merge in canonical index order, replaying the sequential
+    /// decisions — take runs until the first failure (inclusive) or the
+    /// first error. Every index up to that point was executed, so the
+    /// outcome matches a sequential loop bit for bit.
+    fn run_tests(&self) -> Result<Vec<ExecutedRun>, CheckError> {
+        let cancel = Cancellation::new();
+        let mut executed = Vec::new();
+        for slot in self.run_batch(0, self.options.tests, None, Some(&cancel)) {
+            let Some(outcome) = slot else {
+                break; // only reachable past the earliest stop
+            };
+            let run = outcome?;
             let failed = run.result.is_failure();
             executed.push(run);
             if failed {
-                stopped = true;
                 break;
             }
         }
-        start = end;
+        Ok(executed)
     }
-    Ok(CorpusOutcome {
-        executed,
-        coverage,
-        corpus_size: corpus.len(),
-        corpus_replays,
-    })
-}
 
-/// Runs one scripted replay; used by the shrinker.
-#[allow(clippy::too_many_arguments)] // internal: the role pushes it over
-fn replay(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    role: Role,
-    make_executor: MakeExecutor<'_>,
-    script: &[ActionInstance],
-) -> Result<(RunOutcome, PhaseTimings, TransportStats), CheckError> {
-    let mut session = Session::new(
-        spec,
-        check,
-        property_name,
-        property,
-        options,
-        role,
-        make_executor(),
-    );
-    let mut source = ActionSource::Script {
-        actions: script,
-        pos: 0,
-    };
-    let outcome = session.drive(&mut source)?;
-    Ok((outcome, session.timings(), session.transport()))
-}
-
-/// Minimises a failing script by removing chunks and replaying (a light
-/// delta-debugging pass). Not described in the paper — the real tool
-/// shrinks too — and documented as an extension in DESIGN.md.
-/// The chrome-trace thread id of the shrink search's own track — far above
-/// any `2 * run_index (+ 1)` tid a run's driver/evaluator tracks use.
-const SHRINK_TID: u64 = 1 << 32;
-
-#[allow(clippy::too_many_arguments)] // internal: the two &mut accumulators push it over
-fn shrink(
-    spec: &CompiledSpec,
-    check: &CheckDef,
-    property_name: &str,
-    property: &Thunk,
-    options: &CheckOptions,
-    make_executor: MakeExecutor<'_>,
-    mut failing: Counterexample,
-    timings: &mut PhaseTimings,
-    transport: &mut TransportStats,
-    ctx: &CheckCtx,
-    run_obs: &mut RunObs,
-) -> Result<Counterexample, CheckError> {
-    // The shrink search gets its own track: one `shrink` span around the
-    // whole search, one `shrink-replay` span per candidate. The replay
-    // sessions themselves run with observability off, mirroring
-    // `reset_for_replay`'s exclusion of replay counters from the report.
-    let mut sink = ctx.sink(SHRINK_TID, || format!("{property_name} · shrink"));
-    let shrink_span = sink.open(SpanKind::Shrink);
-    let original_len = failing.script.len();
-    let mut budget = 200usize;
-    let mut chunk = (failing.script.len() / 2).max(1);
-    loop {
-        let mut improved = false;
-        let mut i = 0;
-        while i < failing.script.len() && budget > 0 {
-            budget -= 1;
-            let mut candidate: Vec<ActionInstance> = failing.script.clone();
-            let end = (i + chunk).min(candidate.len());
-            candidate.drain(i..end);
-            let candidate_len = candidate.len() as u64;
-            let replay_span = sink.open(SpanKind::ShrinkReplay);
-            let (outcome, mut replay_timings, replay_transport) = replay(
-                spec,
-                check,
-                property_name,
-                property,
-                options,
-                ctx.role,
-                make_executor,
-                &candidate,
-            )?;
-            let still_failing = matches!(&outcome, RunOutcome::Result(RunResult::Failed(_)));
-            sink.close_with(replay_span, |a| {
-                a.push(("candidate_len", AttrValue::U64(candidate_len)));
-                a.push(("still_failing", AttrValue::Bool(still_failing)));
-            });
-            // Fold in the replay's wall-clock attribution but not its
-            // evaluation counters: each replay re-expands the atoms of
-            // its whole candidate prefix, so absorbing the counts would
-            // make the per-property atom/table columns depend on whether
-            // a counterexample happened to shrink (and on how many
-            // candidates the shrinker tried). Counters measure what the
-            // *test budget* evaluated, mirroring coverage's exclusion of
-            // shrink replays. (Replays are always sequential, so the
-            // pipeline counters this also clears are zero anyway.)
-            replay_timings.reset_for_replay();
-            timings.absorb(replay_timings);
-            transport.absorb(replay_transport);
-            match outcome {
-                RunOutcome::Result(RunResult::Failed(cx)) => {
-                    failing = Counterexample { shrunk: true, ..cx };
-                    improved = true;
-                    // Retry at the same index: the next chunk shifted left.
+    /// The coverage-guided loop: runs execute in fixed-size epochs; between
+    /// epochs the per-run coverage is merged (in index order) into the
+    /// property's map, prefixes that reached property-novel fingerprints
+    /// enter the [`TraceCorpus`], and the next epoch's runs are
+    /// deterministically seeded with replay-then-extend prefixes.
+    ///
+    /// Stop-at-first-failure matches the sequential semantics: the merge
+    /// stops at the first failing index (inclusive); later runs of that
+    /// epoch are discarded identically for every `jobs` value.
+    fn run_tests_corpus(&self) -> Result<CorpusOutcome, CheckError> {
+        let options = self.options;
+        let mut corpus = TraceCorpus::default();
+        let mut coverage = CoverageMap::new();
+        let mut executed = Vec::new();
+        let mut corpus_replays = 0usize;
+        let mut stopped = false;
+        let mut start = 0usize;
+        while start < options.tests && !stopped {
+            let end = (start + CORPUS_EPOCH).min(options.tests);
+            // Seed the epoch from the corpus as it stands at this barrier —
+            // a pure function of (corpus contents, run index).
+            let prefixes: Vec<Option<Vec<ActionInstance>>> = (start..end)
+                .map(|index| {
+                    corpus
+                        .schedule(index, options.max_actions)
+                        .map(|entry| entry.script.clone())
+                })
+                .collect();
+            // No cancellation inside an epoch: every slot is executed.
+            let slots = self.run_batch(start, end - start, Some(&prefixes), None);
+            for slot in slots {
+                let run = slot.expect("corpus epochs run without cancellation")?;
+                // Harvest prefixes that reached property-novel fingerprints
+                // *before* merging this run's map — merge order is the
+                // canonical index order, so the corpus contents are
+                // deterministic too.
+                for &(len, fp) in &run.coverage.first_visits {
+                    if !coverage.contains_state(fp) && len > 0 {
+                        corpus.add(run.script[..len].to_vec(), fp);
+                    }
                 }
-                _ => {
-                    // Slide by one, not by chunk: guard-coupled pairs can
-                    // sit at any offset (budget bounds the quadratic cost).
-                    i += 1;
+                coverage.merge(&run.coverage.map);
+                if run.replayed {
+                    corpus_replays += 1;
+                }
+                let failed = run.result.is_failure();
+                executed.push(run);
+                if failed {
+                    stopped = true;
+                    break;
                 }
             }
+            start = end;
         }
-        if budget == 0 {
-            break;
-        }
-        if !improved {
-            if chunk == 1 {
+        Ok(CorpusOutcome {
+            executed,
+            coverage,
+            corpus_size: corpus.len(),
+            corpus_replays,
+        })
+    }
+
+    /// Runs one scripted replay inline; used by the shrinker.
+    fn replay(
+        &self,
+        script: &[ActionInstance],
+    ) -> Result<(RunOutcome, PhaseTimings, TransportStats), CheckError> {
+        let mut executor = (self.make_executor)();
+        let mut session = self.session_from(ActionSource::Script {
+            actions: script,
+            pos: 0,
+        });
+        let outcome = session::drive(&mut session, executor.as_mut())?;
+        Ok((outcome, session.timings(), executor.transport_stats()))
+    }
+
+    /// Minimises a failing script by removing chunks and replaying (a
+    /// light delta-debugging pass). Not described in the paper — the real
+    /// tool shrinks too — and documented as an extension in DESIGN.md.
+    fn shrink(
+        &self,
+        mut failing: Counterexample,
+        timings: &mut PhaseTimings,
+        transport: &mut TransportStats,
+        run_obs: &mut RunObs,
+    ) -> Result<Counterexample, CheckError> {
+        // The shrink search gets its own track: one `shrink` span around
+        // the whole search, one `shrink-replay` span per candidate. The
+        // replay sessions themselves run with observability off,
+        // mirroring `reset_for_replay`'s exclusion of replay counters from
+        // the report.
+        let mut sink = self
+            .ctx
+            .sink(SHRINK_TID, || format!("{} · shrink", self.name));
+        let shrink_span = sink.open(SpanKind::Shrink);
+        let original_len = failing.script.len();
+        let mut budget = 200usize;
+        let mut chunk = (failing.script.len() / 2).max(1);
+        loop {
+            let mut improved = false;
+            let mut i = 0;
+            while i < failing.script.len() && budget > 0 {
+                budget -= 1;
+                let mut candidate: Vec<ActionInstance> = failing.script.clone();
+                let end = (i + chunk).min(candidate.len());
+                candidate.drain(i..end);
+                let candidate_len = candidate.len() as u64;
+                let replay_span = sink.open(SpanKind::ShrinkReplay);
+                let (outcome, mut replay_timings, replay_transport) = self.replay(&candidate)?;
+                let still_failing = matches!(&outcome, RunOutcome::Result(RunResult::Failed(_)));
+                sink.close_with(replay_span, |a| {
+                    a.push(("candidate_len", AttrValue::U64(candidate_len)));
+                    a.push(("still_failing", AttrValue::Bool(still_failing)));
+                });
+                // Fold in the replay's wall-clock attribution but not its
+                // evaluation counters: each replay re-expands the atoms of
+                // its whole candidate prefix, so absorbing the counts would
+                // make the per-property atom/table columns depend on
+                // whether a counterexample happened to shrink (and on how
+                // many candidates the shrinker tried). Counters measure
+                // what the *test budget* evaluated, mirroring coverage's
+                // exclusion of shrink replays.
+                replay_timings.reset_for_replay();
+                timings.absorb(replay_timings);
+                transport.absorb(replay_transport);
+                match outcome {
+                    RunOutcome::Result(RunResult::Failed(cx)) => {
+                        failing = Counterexample { shrunk: true, ..cx };
+                        improved = true;
+                        // Retry at the same index: the next chunk shifted
+                        // left.
+                    }
+                    _ => {
+                        // Slide by one, not by chunk: guard-coupled pairs
+                        // can sit at any offset (budget bounds the
+                        // quadratic cost).
+                        i += 1;
+                    }
+                }
+            }
+            if budget == 0 {
                 break;
             }
-            // Ceiling halving so every size down to 1 is attempted —
-            // guard-coupled action pairs (enter-edit/exit-edit) can only
-            // be removed together, at exactly chunk size 2.
-            chunk = chunk.div_ceil(2);
-        } else {
-            chunk = (failing.script.len() / 2).max(1);
+            if !improved {
+                if chunk == 1 {
+                    break;
+                }
+                // Ceiling halving so every size down to 1 is attempted —
+                // guard-coupled action pairs (enter-edit/exit-edit) can
+                // only be removed together, at exactly chunk size 2.
+                chunk = chunk.div_ceil(2);
+            } else {
+                chunk = (failing.script.len() / 2).max(1);
+            }
         }
+        let final_len = failing.script.len() as u64;
+        sink.close_with(shrink_span, |a| {
+            a.push(("original_len", AttrValue::U64(original_len as u64)));
+            a.push(("final_len", AttrValue::U64(final_len)));
+        });
+        if let Some(track) = sink.finish() {
+            run_obs.tracks.push(track);
+        }
+        Ok(failing)
     }
-    let final_len = failing.script.len() as u64;
-    sink.close_with(shrink_span, |a| {
-        a.push(("original_len", AttrValue::U64(original_len as u64)));
-        a.push(("final_len", AttrValue::U64(final_len)));
-    });
-    if let Some(track) = sink.finish() {
-        run_obs.tracks.push(track);
-    }
-    Ok(failing)
 }
 
 /// Checks one property of one `check` command.
@@ -668,8 +535,8 @@ pub fn check_property(
 
 /// [`check_property`] with observability: structured tracing and/or a
 /// metrics registry per [`ObsOptions`]. The returned [`RunObs`] carries
-/// every recorded trace track (in canonical run-index order, driver before
-/// evaluator within a run) plus the merged metrics. The report itself is
+/// every recorded trace track (in canonical run-index order, then the
+/// shrink search's) plus the merged metrics. The report itself is
 /// bit-identical to [`check_property`]'s — instrumentation never branches
 /// control flow.
 ///
@@ -704,42 +571,19 @@ fn check_property_inner(
     let property = spec
         .property_thunk(property_name)
         .ok_or_else(|| CheckError::new(format!("unknown property `{property_name}`")))?;
+    let prop = PropertyCheck {
+        spec,
+        check,
+        name: property_name,
+        property,
+        options,
+        make_executor,
+        ctx,
+    };
     let outcome = if options.strategy.uses_corpus() {
-        run_tests_corpus(
-            spec,
-            check,
-            property_name,
-            &property,
-            options,
-            make_executor,
-            ctx,
-        )?
+        prop.run_tests_corpus()?
     } else {
-        // The multiplexed pipelined scheduler is worth engaging even with
-        // one worker: it overlaps several sessions' executor latencies.
-        let fan_out =
-            options.jobs > 1 || (options.pipeline == PipelineMode::On && options.multiplex > 1);
-        let executed = if fan_out && options.tests > 1 {
-            run_tests_parallel(
-                spec,
-                check,
-                property_name,
-                &property,
-                options,
-                make_executor,
-                ctx,
-            )?
-        } else {
-            run_tests_sequential(
-                spec,
-                check,
-                property_name,
-                &property,
-                options,
-                make_executor,
-                ctx,
-            )?
-        };
+        let executed = prop.run_tests()?;
         // Merge per-run coverage in canonical index order (the union is
         // order-insensitive anyway, but the canonical order is the
         // stated contract).
@@ -776,19 +620,7 @@ fn check_property_inner(
         match run.result {
             RunResult::Failed(cx) => {
                 let cx = if options.shrink && cx.script.len() > 1 && !cx.forced {
-                    shrink(
-                        spec,
-                        check,
-                        property_name,
-                        &property,
-                        options,
-                        make_executor,
-                        cx,
-                        &mut timings,
-                        &mut transport,
-                        ctx,
-                        &mut run_obs,
-                    )?
+                    prop.shrink(cx, &mut timings, &mut transport, &mut run_obs)?
                 } else {
                     cx
                 };

@@ -1,16 +1,20 @@
 //! Checker invariants: determinism under a fixed seed, shrink soundness
 //! (a shrunk counterexample still fails and is no larger), stop-at-first-
-//! failure, verdict classification, and malformed executor updates ending
-//! the check with an error.
+//! failure, verdict classification, malformed or lost executor replies
+//! ending the check with an error, and executor panics re-raised with
+//! their own payload.
 
 use quickstrom_apps::todomvc::{Fault, TodoMvc};
 use quickstrom_apps::Counter;
-use quickstrom_checker::{check_property, check_spec, CheckOptions, PipelineMode, RunResult};
+use quickstrom_checker::{check_property, check_spec, CheckOptions, RunResult};
 use quickstrom_executor::WebExecutor;
 use quickstrom_protocol::{
-    CheckerMsg, ElementState, Executor, ExecutorMsg, QueryDelta, SnapshotDelta, StateSnapshot,
-    StateUpdate,
+    CheckerMsg, ElementState, Executor, ExecutorMsg, QueryDelta, Selector, SnapshotDelta,
+    StateSnapshot, StateUpdate,
 };
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const COUNTER_SPEC: &str = r#"
     let ~count = parseInt(`#count`.text);
@@ -214,8 +218,8 @@ fn malformed_deltas_are_check_errors_on_both_runtimes() {
         (delta(1, 1), delta(2, 1), "before any full snapshot"),
     ];
     for (loaded, acted, message) in &cases {
-        for pipeline in [PipelineMode::On, PipelineMode::Off] {
-            let options = options(0).with_tests(2).with_pipeline(pipeline);
+        for multiplex in [1, 2] {
+            let options = options(0).with_tests(2).with_multiplex(multiplex);
             let make = || -> Box<dyn Executor> {
                 Box::new(Scripted {
                     loaded: loaded.clone(),
@@ -223,9 +227,132 @@ fn malformed_deltas_are_check_errors_on_both_runtimes() {
                 })
             };
             match check_spec(&spec, &options, &make) {
-                Err(e) => assert!(e.message.contains(message), "{pipeline}: {e}"),
-                Ok(report) => panic!("{pipeline}: expected `{message}`, got {report:?}"),
+                Err(e) => assert!(e.message.contains(message), "multiplex {multiplex}: {e}"),
+                Ok(report) => panic!("multiplex {multiplex}: expected `{message}`, got {report:?}"),
             }
         }
+    }
+}
+
+/// §3.4's event timeouts: `tick?` declares one, so each observed tick
+/// makes the checker send a `Wait`.
+const EVENT_TIMEOUT_SPEC: &str = r#"
+    let ~stopped = `#toggle`.text == "start";
+    let ~started = `#toggle`.text == "stop";
+    let ~time = parseInt(`#remaining`.text);
+    action start! = click!(`#toggle`) when stopped;
+    action wait!  = noop! timeout 500 when started;
+    action tick?  = changed?(`#remaining`) timeout 1100;
+    let ~ticking { let old = time; started && nextW (time == old - 1 || time == old || stopped) };
+    let ~safety = loaded? in happened && always[40] (stopped || ticking);
+    check safety with start! wait! tick?;
+"#;
+
+/// An egg timer that ticks once after every action but loses every reply
+/// to a `Wait`.
+struct DropsWaitReplies {
+    ticks: u32,
+}
+
+impl DropsWaitReplies {
+    fn state(&self, toggle: &str) -> StateSnapshot {
+        let mut state = StateSnapshot::new();
+        state.insert_query("#toggle", vec![ElementState::with_text(toggle)]);
+        let remaining = (5 - self.ticks).to_string();
+        state.insert_query("#remaining", vec![ElementState::with_text(&remaining)]);
+        state
+    }
+}
+
+impl Executor for DropsWaitReplies {
+    fn send(&mut self, msg: CheckerMsg) -> Vec<ExecutorMsg> {
+        match msg {
+            CheckerMsg::Start { .. } => {
+                vec![ExecutorMsg::event(
+                    "loaded?",
+                    Vec::new(),
+                    self.state("start"),
+                )]
+            }
+            CheckerMsg::Act { .. } => {
+                let acted = ExecutorMsg::acted(self.state("stop"));
+                self.ticks += 1;
+                let detail = vec![Selector::new("#remaining")];
+                vec![
+                    acted,
+                    ExecutorMsg::event("changed?", detail, self.state("stop")),
+                ]
+            }
+            CheckerMsg::Wait { .. } | CheckerMsg::End => Vec::new(),
+        }
+    }
+}
+
+/// A lost reply to an up-to-date `Wait` is a protocol error that names
+/// the `Wait`, under both drivers.
+#[test]
+fn an_unanswered_wait_is_a_check_error() {
+    let spec = specstrom::load(EVENT_TIMEOUT_SPEC).unwrap();
+    for multiplex in [1, 2] {
+        let options = options(0).with_tests(2).with_multiplex(multiplex);
+        let make = || -> Box<dyn Executor> { Box::new(DropsWaitReplies { ticks: 0 }) };
+        match check_spec(&spec, &options, &make) {
+            Err(e) => assert!(
+                e.message.contains("ignored an up-to-date Wait"),
+                "multiplex {multiplex}: {e}"
+            ),
+            Ok(report) => panic!("multiplex {multiplex}: expected an error, got {report:?}"),
+        }
+    }
+}
+
+/// A counter executor that panics on its 4th `send`.
+struct Explodes {
+    inner: WebExecutor<Counter>,
+    sends: usize,
+}
+
+impl Executor for Explodes {
+    fn send(&mut self, msg: CheckerMsg) -> Vec<ExecutorMsg> {
+        self.sends += 1;
+        assert!(self.sends < 4, "executor exploded");
+        self.inner.send(msg)
+    }
+}
+
+/// An executor's panic reaches the caller of `check_spec` with its own
+/// payload, on every runtime, and promptly: sessions still in flight on
+/// other threads must not turn it into a different panic or a hang.
+#[test]
+fn executor_panics_are_re_raised_with_their_payload() {
+    for (jobs, multiplex) in [(1, 1), (2, 1), (1, 2), (2, 3)] {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let spec = specstrom::load(COUNTER_SPEC).unwrap();
+            let options = options(0).with_jobs(jobs).with_multiplex(multiplex);
+            let make = || -> Box<dyn Executor> {
+                Box::new(Explodes {
+                    inner: WebExecutor::new(Counter::new),
+                    sends: 0,
+                })
+            };
+            let payload =
+                panic::catch_unwind(AssertUnwindSafe(|| check_spec(&spec, &options, &make)))
+                    .expect_err("the executor panics");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("jobs {jobs} × multiplex {multiplex}: the check hung"));
+        helper.join().expect("the helper catches the check's panic");
+        assert_eq!(
+            message.as_deref(),
+            Some("executor exploded"),
+            "jobs {jobs} × multiplex {multiplex}"
+        );
     }
 }

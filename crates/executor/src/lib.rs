@@ -500,11 +500,10 @@ impl<A: App> Executor for WebExecutor<A> {
 /// browser or remote executor (the in-process [`WebExecutor`] answers in
 /// microseconds, which makes latency-hiding effects invisible).
 ///
-/// With latency injected, the pipelined runtime's gains become
-/// measurable: the evaluator stage progresses formulas while the next
-/// `send` is in flight, and a worker multiplexing several sessions
-/// (`CheckOptions::multiplex`) overlaps their delays — see the `pipeline`
-/// benchmark.
+/// With latency injected, multiplexing becomes measurable: a worker with
+/// several sessions in flight (`CheckOptions::multiplex`) steps whichever
+/// has replies while the others wait, so their delays overlap — see the
+/// `pipeline` benchmark.
 #[derive(Debug)]
 pub struct LatencyExecutor<E> {
     inner: E,

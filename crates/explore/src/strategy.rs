@@ -259,17 +259,6 @@ impl SelectionStrategy {
         matches!(self, SelectionStrategy::Novelty)
     }
 
-    /// Does [`Strategy::pick`] read the coverage map or the current state
-    /// fingerprint? [`Uniform`] reads nothing from the context and
-    /// [`LeastTried`] only the per-name action counts, so a driver that
-    /// owns action selection can skip fingerprinting and coverage
-    /// bookkeeping entirely for those strategies (the evaluator stage
-    /// still maintains the report's coverage).
-    #[must_use]
-    pub fn needs_coverage(self) -> bool {
-        matches!(self, SelectionStrategy::Novelty)
-    }
-
     /// Every shipped strategy, in comparison order (the coverage-compare
     /// harness sweeps these).
     pub const ALL: [SelectionStrategy; 3] = [

@@ -15,7 +15,7 @@
 //!
 //! Everything here is **logical**: step indices, state ids, atom texts.
 //! No wall-clock values appear, so explanations are bit-reproducible
-//! across machines, jobs settings, and pipelining modes.
+//! across machines, jobs settings, and multiplex widths.
 
 use std::fmt;
 use std::fmt::Write as _;

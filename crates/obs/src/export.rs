@@ -3,8 +3,8 @@
 //! The chrome exporter emits the [Trace Event Format]'s JSON array form:
 //! one `"X"` (complete) event per recorded span with `ts`/`dur` in
 //! microseconds, one `"i"` (instant) event per marker, plus `"M"` metadata
-//! events naming each process and thread so the driver/evaluator stages and
-//! multiplexed sessions appear as labelled swim lanes.
+//! events naming each process and thread so runs, multiplexed or not, and
+//! shrink searches appear as labelled swim lanes.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -225,18 +225,18 @@ mod tests {
 
     fn sample_log() -> TraceLog {
         let origin = Instant::now();
-        let mut driver = TraceSink::enabled(origin, 1, 0, "run 0 · driver".into(), 256);
-        let send = driver.open(SpanKind::Send);
-        driver.close_with(send, |a| a.push(("bytes", AttrValue::U64(120))));
-        let mut eval = TraceSink::enabled(origin, 1, 1, "run 0 · evaluator".into(), 256);
-        let step = eval.open(SpanKind::Step);
-        eval.close(step);
-        eval.instant(SpanKind::Verdict, |a| {
+        let mut first = TraceSink::enabled(origin, 1, 0, "run 0".into(), 256);
+        let send = first.open(SpanKind::Send);
+        first.close_with(send, |a| a.push(("bytes", AttrValue::U64(120))));
+        let mut second = TraceSink::enabled(origin, 1, 1, "run 1".into(), 256);
+        let step = second.open(SpanKind::Step);
+        second.close(step);
+        second.instant(SpanKind::Verdict, |a| {
             a.push(("value", AttrValue::Bool(false)));
             a.push(("note", AttrValue::Str("quote\"me".into())));
         });
         TraceLog {
-            tracks: vec![driver.finish().unwrap(), eval.finish().unwrap()],
+            tracks: vec![first.finish().unwrap(), second.finish().unwrap()],
         }
     }
 
@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(depth, 0, "unbalanced JSON");
         assert!(!in_str);
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("run 0 · evaluator"));
+        assert!(json.contains("run 1"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("quote\\\"me"));
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn timeline_mentions_all_tracks() {
         let text = render_timeline(&sample_log());
-        assert!(text.contains("== run 0 · driver"));
-        assert!(text.contains("== run 0 · evaluator"));
+        assert!(text.contains("== run 0"));
+        assert!(text.contains("== run 1"));
         assert!(text.contains("verdict"));
         assert!(text.contains("value=false"));
     }

@@ -8,9 +8,8 @@
 //!   (one branch per call, no clock reads, no allocation) or a ring-buffered
 //!   recorder of open/close span pairs stamped with both wall-clock
 //!   microseconds and a monotone logical sequence. Tracks map onto
-//!   chrome://tracing threads so the pipelined runtime's driver and
-//!   evaluator stages, and every multiplexed session, render as separate
-//!   swim lanes.
+//!   chrome://tracing threads, one per run plus one per shrink search, so
+//!   multiplexed sessions render as separate swim lanes.
 //! - [`metrics`]: a named-counter + fixed-bucket-histogram registry with a
 //!   deterministic merge, quantile estimation, and Prometheus text
 //!   exposition. Per-run [`MetricsRecorder`]s are merged in run-index order

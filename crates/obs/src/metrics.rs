@@ -197,12 +197,10 @@ impl MetricsRegistry {
 struct RunMetrics {
     step_latency: Histogram,
     send_latency: Histogram,
-    executor_stall: Histogram,
-    evaluator_stall: Histogram,
     probe_depth: Histogram,
 }
 
-/// The per-run fast path for the checker's hot loops: five pre-built
+/// The per-run fast path for the checker's hot loops: three pre-built
 /// histograms behind one `Option` box, so the disabled case is a single
 /// branch and no map lookups happen per step.
 pub struct MetricsRecorder(Option<Box<RunMetrics>>);
@@ -221,10 +219,6 @@ pub const STEP_LATENCY: &str = "step_latency_seconds";
 /// See [`STEP_LATENCY`].
 pub const SEND_LATENCY: &str = "send_latency_seconds";
 /// See [`STEP_LATENCY`].
-pub const EXECUTOR_STALL: &str = "executor_stall_seconds";
-/// See [`STEP_LATENCY`].
-pub const EVALUATOR_STALL: &str = "evaluator_stall_seconds";
-/// See [`STEP_LATENCY`].
 pub const PROBE_DEPTH: &str = "memo_probe_depth";
 
 impl MetricsRecorder {
@@ -240,8 +234,6 @@ impl MetricsRecorder {
         MetricsRecorder(Some(Box::new(RunMetrics {
             step_latency: Histogram::new(LATENCY_BOUNDS_S),
             send_latency: Histogram::new(LATENCY_BOUNDS_S),
-            executor_stall: Histogram::new(LATENCY_BOUNDS_S),
-            evaluator_stall: Histogram::new(LATENCY_BOUNDS_S),
             probe_depth: Histogram::new(DEPTH_BOUNDS),
         })))
     }
@@ -269,22 +261,6 @@ impl MetricsRecorder {
         }
     }
 
-    /// Records one driver-side backpressure stall.
-    #[inline]
-    pub fn executor_stall(&mut self, d: Duration) {
-        if let Some(m) = &mut self.0 {
-            m.executor_stall.observe(d.as_secs_f64());
-        }
-    }
-
-    /// Records one evaluator-side wait for the next pipelined event.
-    #[inline]
-    pub fn evaluator_stall(&mut self, d: Duration) {
-        if let Some(m) = &mut self.0 {
-            m.evaluator_stall.observe(d.as_secs_f64());
-        }
-    }
-
     /// Records the expansion-probe depth of one step (how many atom
     /// expansions the step requested before memoization).
     #[inline]
@@ -302,10 +278,6 @@ impl MetricsRecorder {
         if let Some(m) = self.0 {
             reg.histograms.insert(STEP_LATENCY.into(), m.step_latency);
             reg.histograms.insert(SEND_LATENCY.into(), m.send_latency);
-            reg.histograms
-                .insert(EXECUTOR_STALL.into(), m.executor_stall);
-            reg.histograms
-                .insert(EVALUATOR_STALL.into(), m.evaluator_stall);
             reg.histograms.insert(PROBE_DEPTH.into(), m.probe_depth);
         }
         reg
@@ -400,6 +372,6 @@ mod tests {
         assert_eq!(reg.histograms[STEP_LATENCY].count, 1);
         assert_eq!(reg.histograms[SEND_LATENCY].count, 1);
         assert_eq!(reg.histograms[PROBE_DEPTH].count, 1);
-        assert_eq!(reg.histograms[EXECUTOR_STALL].count, 0);
+        assert_eq!(reg.histograms.len(), 3);
     }
 }

@@ -37,12 +37,8 @@ pub enum SpanKind {
     Shrink,
     /// One shrink candidate replay.
     ShrinkReplay,
-    /// Pipeline backpressure: a stage blocked on a full or empty channel.
-    Stall,
     /// Instant event: a definitive verdict was reached.
     Verdict,
-    /// Instant event: the speculative tail was truncated after a verdict.
-    Truncated,
 }
 
 impl SpanKind {
@@ -57,9 +53,7 @@ impl SpanKind {
             SpanKind::AutomatonStep => "automaton_step",
             SpanKind::Shrink => "shrink",
             SpanKind::ShrinkReplay => "shrink_replay",
-            SpanKind::Stall => "stall",
             SpanKind::Verdict => "verdict",
-            SpanKind::Truncated => "truncated",
         }
     }
 }
@@ -104,7 +98,7 @@ pub struct TrackLog {
     pub pid: u32,
     /// Thread id for rendering; unique per track within a pid.
     pub tid: u64,
-    /// Human-readable track name ("run 3 · driver", …).
+    /// Human-readable track name ("run 3", …).
     pub name: String,
     /// Completed events, in close order.
     pub events: Vec<TraceEvent>,

@@ -1,8 +1,8 @@
 //! A hand-rolled binary wire codec for the checker/executor protocol.
 //!
-//! The pipelined session runtime treats the executor as a stage behind a
-//! message seam ([`crate::Executor::send`]); this module makes that seam a
-//! *process* boundary. Every [`CheckerMsg`] and [`ExecutorMsg`] — state
+//! The checker talks to an executor only through one message seam
+//! ([`crate::Executor::send`]); this module makes that seam a *process*
+//! boundary. Every [`CheckerMsg`] and [`ExecutorMsg`] — state
 //! snapshots, deltas and all — round-trips through a self-describing
 //! binary encoding, framed with a little-endian `u32` length prefix, so a
 //! remote executor can serve sessions over any byte stream (see
@@ -19,7 +19,7 @@
 //! checker side writes one framed [`CheckerMsg`] and reads one framed
 //! *batch* of [`ExecutorMsg`] replies (a `u32` count, then each message),
 //! keeping the remote seam bufferable and strictly ordered — exactly the
-//! properties the in-process pipeline relies on.
+//! properties the in-process executors provide.
 
 use crate::delta::{QueryDelta, SnapshotDelta, StateUpdate};
 use crate::intern::Symbol;

@@ -25,7 +25,8 @@
 //! by first insertion, bounded capacity) only ever causes re-expansion,
 //! never a wrong value.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use quickltl::Formula;
@@ -33,6 +34,59 @@ use quickstrom_protocol::{ProjectionHash, Selector};
 
 use crate::analysis::{footprint_of_thunk, AtomFootprint};
 use crate::value::{Binding, Env, Thunk, Value};
+
+// ---------------------------------------------------------------------------
+// Word-keyed tables
+// ---------------------------------------------------------------------------
+
+/// A `HashMap` for keys made of machine words that are addresses or
+/// already-mixed hashes: thunk identities, frame addresses and semantic
+/// atom keys. Hashed with [`WordHasher`].
+pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The set counterpart of [`WordMap`].
+pub type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
+/// The hasher behind [`WordMap`]: one rotate, xor and multiply per word
+/// (FxHash's step). std's SipHash resists adversarial keys, which these
+/// in-process tables never see, and costs several times more per lookup
+/// on the evaluation hot path. `finish` rotates the product's well-mixed
+/// high bits down, because the table picks buckets by the low bits and
+/// aligned addresses leave those zero.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Semantic atom keys
@@ -53,10 +107,11 @@ use crate::value::{Binding, Env, Thunk, Value};
 /// a copy of the globals defined before it) linear to hash instead of
 /// exponential. The cache is only sound while the hashed frames stay
 /// alive, so the keyer's owner must pin every keyed thunk for the keyer's
-/// lifetime — the checker's per-run atom-info table does exactly that.
+/// lifetime — the checker's per-run atom records and binding keys do
+/// exactly that.
 #[derive(Debug, Default)]
 pub struct AtomKeyer {
-    env_hashes: HashMap<usize, u64>,
+    env_hashes: WordMap<usize, u64>,
 }
 
 impl AtomKeyer {
@@ -283,7 +338,7 @@ impl MemoEntry {
     #[must_use]
     pub fn build(atom: Thunk, expansion: Formula<Thunk>) -> MemoEntry {
         let mut atoms: Vec<Thunk> = Vec::new();
-        let mut ids: HashMap<(usize, usize), u32> = HashMap::new();
+        let mut ids: WordMap<(usize, usize), u32> = WordMap::default();
         let shape = expansion.clone().map_atoms(&mut |t: Thunk| {
             let identity = t.identity();
             *ids.entry(identity).or_insert_with(|| {
@@ -336,12 +391,12 @@ impl MemoEntry {
 #[derive(Debug)]
 pub struct AtomMemo {
     inner: Mutex<MemoInner>,
-    footprints: Mutex<HashMap<u64, Arc<AtomFootprint>>>,
+    footprints: Mutex<WordMap<u64, Arc<AtomFootprint>>>,
 }
 
 #[derive(Debug)]
 struct MemoInner {
-    map: HashMap<(u64, u64), Arc<MemoEntry>>,
+    map: WordMap<(u64, u64), Arc<MemoEntry>>,
     order: VecDeque<(u64, u64)>,
     capacity: usize,
 }
@@ -352,11 +407,11 @@ impl AtomMemo {
     pub fn new(capacity: usize) -> AtomMemo {
         AtomMemo {
             inner: Mutex::new(MemoInner {
-                map: HashMap::new(),
+                map: WordMap::default(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
-            footprints: Mutex::new(HashMap::new()),
+            footprints: Mutex::new(WordMap::default()),
         }
     }
 
@@ -511,6 +566,23 @@ mod tests {
         assert!(entry.matches_expansion(&expansion));
         let different = Formula::Atom(other).and(Formula::Atom(shared));
         assert!(!entry.matches_expansion(&different));
+    }
+
+    #[test]
+    fn word_hasher_spreads_aligned_addresses_over_low_bits() {
+        use std::hash::BuildHasher;
+        // Frame addresses are 16-byte aligned; buckets come from the low
+        // bits. A bare multiply would leave the low four bits zero and
+        // fill at most 1/16 of 4096 buckets.
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let buckets: HashSet<u64> = (0..4096usize)
+            .map(|i| build.hash_one(0x7f3a_5c00_0000 + 16 * i) & 0xfff)
+            .collect();
+        assert!(
+            buckets.len() > 2048,
+            "only {} of 4096 buckets",
+            buckets.len()
+        );
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use analysis::{
     lint, AtomFootprint, AtomInfo, Diagnostic, DiagnosticCode, PropertyAnalysis, SelectorUse,
     SpecAnalysis,
 };
-pub use atomc::{AtomKeyer, AtomMemo, MemoEntry};
+pub use atomc::{AtomKeyer, AtomMemo, MemoEntry, WordMap, WordSet};
 pub use compile::{compile_expr, initial_env, Ir};
 pub use error::{EvalError, SpecError};
 pub use eval::{element_record, eval_guard, expand_thunk, to_formula, EvalCtx};

@@ -16,7 +16,7 @@
 
 use crate::analysis;
 use crate::ast::{Item, Spec};
-use crate::atomc::AtomMemo;
+use crate::atomc::{AtomMemo, WordMap};
 use crate::compile::{self, Resolver};
 use crate::error::{EvalError, SpecError};
 use crate::eval::{self, EvalCtx};
@@ -25,7 +25,7 @@ use crate::sorts;
 use crate::value::{ActionValue, Binding, Env, Thunk, Value};
 use quickltl::{Formula, StateId, TransitionTable};
 use quickstrom_protocol::{Selector, Symbol};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A resolved `check` command: which properties to test, with which
@@ -247,7 +247,7 @@ pub struct StepMemo {
     /// projections (and whether the event list) feed the state-value
     /// signature.
     pub footprint: analysis::AtomFootprint,
-    entries: Mutex<HashMap<(StateId, u64, u64), Arc<StepEntry>>>,
+    entries: Mutex<WordMap<(StateId, u64, u64), Arc<StepEntry>>>,
 }
 
 /// Stop memoizing new transitions past this many entries (the memo keeps
@@ -259,7 +259,7 @@ impl StepMemo {
     fn new(footprint: analysis::AtomFootprint) -> Self {
         StepMemo {
             footprint,
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(WordMap::default()),
         }
     }
 

@@ -1,5 +1,5 @@
 //! A remote executor served over TCP: the process-boundary proof of the
-//! pipelined runtime's stage seam.
+//! checker's one executor seam.
 //!
 //! ```text
 //! cargo run --release --example remote_executor
@@ -16,7 +16,12 @@
 //! on — full first snapshot, incremental deltas after it, version-checked
 //! stale-action handling, event batching — crosses the wire unchanged,
 //! and the report comes out identical to an in-process run of the same
-//! seed, which the example asserts.
+//! seed, which the example asserts. The proxy's `send` blocks on the
+//! socket, and a remote executor is where latency hiding pays: with
+//! `CheckOptions::multiplex` above one, each worker keeps several
+//! sessions (connections) in flight, each proxy blocking on a thread of
+//! its own. The proxy sets no timeout, so a hung server blocks its
+//! session.
 
 use quickstrom::prelude::*;
 use quickstrom::quickstrom_apps::Counter;
